@@ -30,7 +30,6 @@
 #include "synth/instantiater.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
-#include "resilience/thread_pool.hh"
 
 namespace {
 
@@ -215,25 +214,6 @@ BM_BudgetPoll(benchmark::State &state)
 BENCHMARK(BM_BudgetPoll)->Arg(0)->Arg(1);
 
 void
-BM_InstantiationParallel(benchmark::State &state)
-{
-    const unsigned workers = static_cast<unsigned>(state.range(0));
-    Matrix target = buildUnitary(lowerToNative(algos::tfim(3, 1)));
-    Ansatz a = Ansatz::initialLayer(3);
-    a.addLayer(0, 1);
-    a.addLayer(1, 2);
-    ThreadPool pool(workers);
-    InstantiaterOptions opts;
-    opts.multistarts = 4;
-    opts.lbfgs.maxIterations = 100;
-    opts.pool = workers > 0 ? &pool : nullptr;
-    Rng rng(7);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(instantiate(target, a, rng, opts));
-}
-BENCHMARK(BM_InstantiationParallel)->Arg(0)->Arg(3);
-
-void
 BM_DualAnnealingStep(benchmark::State &state)
 {
     AnnealObjective f = [](const std::vector<double> &x) {
@@ -264,21 +244,18 @@ msPerCall(int iters, const std::function<void()> &fn)
 }
 
 /**
- * Instantiation-engine throughput table archived as
- * BENCH_instantiation.json. Every row carries an `engine` column —
- * "scalar" is the classic per-start path (InstantiaterEngine::Scalar),
- * "simd" the batched lane-lockstep engine (engine Auto) — and both
- * engines are measured IN THE SAME RUN so the speedup ratio is
- * machine-consistent: cost evaluations per second (per candidate for
- * the batched cost), multistart instantiations per second at 2-5
- * qubits, and the legacy serial/pool latency rows CI keys on.
+ * Instantiation throughput table archived as BENCH_instantiation.json.
+ * Every row carries an `engine` column: for the cost rows "scalar" is
+ * the one-lane HsCost and "simd" the lane-batched BatchedHsCost, both
+ * measured IN THE SAME RUN so their ratio is machine-consistent (per
+ * candidate for the batched cost). instantiate() uses both, so its
+ * rows (multistart instantiations per second at 2-5 qubits, and the
+ * 4-start serial latency row CI keys on) are all "simd".
  *
  * The n=2..4 cases run the specialized fixed-dim kernels; n=5 (dim
- * 32) exercises both engines' generic runtime-dim kernels, and is
- * also where evaluation dominates the serial per-iteration L-BFGS
- * bookkeeping both engines share, so the end-to-end ratio approaches
- * the raw per-eval ratio. Its repetition counts are scaled down to
- * keep the full run's wall time in check.
+ * 32) exercises both evaluators' generic runtime-dim kernels. Its
+ * repetition counts are scaled down to keep the full run's wall time
+ * in check.
  */
 Table
 instantiationTable()
@@ -339,25 +316,15 @@ instantiationTable()
                                      static_cast<double>(kLanes),
                                  1)});
 
-        // End-to-end multistart instantiation, both engines, same
-        // target/ansatz/seed. Unreachable goal: every start runs to
-        // its iteration cap in both engines. Three waves of starts so
-        // the batched engine's lane refills are exercised and the
-        // final-wave lockstep tail is amortized, as in a real
-        // synthesis run where candidates keep arriving.
+        // End-to-end multistart instantiation. Unreachable goal:
+        // every start runs to its iteration cap. Three waves of
+        // starts so lane refills are exercised and the final-wave
+        // lockstep tail is amortized, as in a real synthesis run
+        // where candidates keep arriving.
         InstantiaterOptions iopts;
         iopts.multistarts = 24;
         iopts.lbfgs.maxIterations = smoke ? 40 : 100;
         iopts.goal = 0.0;
-        iopts.engine = InstantiaterEngine::Scalar;
-        Rng srng(7);
-        ms = msPerCall(insts, [&] {
-            benchmark::DoNotOptimize(instantiate(target, a, srng, iopts));
-        });
-        table.addRow({"instantiate" + suffix, "scalar",
-                      "instantiations_per_sec",
-                      Table::num(1000.0 / ms, 2)});
-        iopts.engine = InstantiaterEngine::Auto;
         Rng brng(7);
         ms = msPerCall(insts, [&] {
             benchmark::DoNotOptimize(instantiate(target, a, brng, iopts));
@@ -375,17 +342,8 @@ instantiationTable()
     InstantiaterOptions opts;
     opts.multistarts = 4;
     opts.lbfgs.maxIterations = smoke ? 40 : 100;
-    opts.engine = InstantiaterEngine::Scalar;
     Rng rng(7);
-    table.addRow({"instantiate_serial", "scalar", "ms_per_call",
-                  Table::num(msPerCall(insts, [&] {
-                                 benchmark::DoNotOptimize(
-                                     instantiate(target, a, rng, opts));
-                             }),
-                             3)});
-    ThreadPool pool(3);
-    opts.pool = &pool;
-    table.addRow({"instantiate_pool4", "scalar", "ms_per_call",
+    table.addRow({"instantiate_serial", "simd", "ms_per_call",
                   Table::num(msPerCall(insts, [&] {
                                  benchmark::DoNotOptimize(
                                      instantiate(target, a, rng, opts));

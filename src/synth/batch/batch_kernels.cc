@@ -20,7 +20,6 @@ resolveIsa()
     const bool haveAvx2 = cpu.avx2 && avx2BatchKernelsFor(2) != nullptr;
 
     switch (ov) {
-      case util::SimdOverride::Off:
       case util::SimdOverride::Scalar:
         return SimdIsa::Scalar;
       case util::SimdOverride::Avx2:
@@ -57,12 +56,6 @@ activeSimdIsa()
 {
     static const SimdIsa isa = resolveIsa();
     return isa;
-}
-
-bool
-batchEngineEnabled()
-{
-    return util::simdOverride() != util::SimdOverride::Off;
 }
 
 const BatchKernelSet *

@@ -134,12 +134,6 @@ const BatchKernelSet *batchKernelsForIsa(SimdIsa isa, size_t dim);
  */
 SimdIsa activeSimdIsa();
 
-/**
- * False when QUEST_SIMD=off disabled the batched engine at runtime:
- * instantiate() then always takes the classic scalar path.
- */
-bool batchEngineEnabled();
-
 } // namespace quest::kern::batch
 
 #endif // QUEST_SYNTH_BATCH_BATCH_KERNELS_HH

@@ -12,8 +12,8 @@
  * (op, lane) and is fanned into the SoA gate cache, so the libm
  * values each lane sees are the ones the scalar engine would
  * compute. The result is bit-for-bit parity per lane, which the
- * batched multistart driver (batch_instantiate.cc) relies on and the
- * determinism tests pin.
+ * multistart driver (instantiater.cc) relies on when it switches
+ * between this and HsCost, and which the kernel tests pin.
  *
  * Only the gradient path exists: L-BFGS evaluates the gradient at
  * every point it visits, so a batched value-only path would have no
@@ -76,8 +76,8 @@ struct BatchedHsWorkspace
 
 /**
  * Batched counterpart of HsCost. Not safe for concurrent
- * evaluateBatch() calls on one instance; the batched multistart
- * driver owns one instance and runs on a single thread.
+ * evaluateBatch() calls on one instance; the multistart driver
+ * owns one instance per call and runs on a single thread.
  */
 class BatchedHsCost
 {

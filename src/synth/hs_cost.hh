@@ -54,8 +54,8 @@ struct HsWorkspace
  * the ansatz parameter derivatives.
  *
  * Not safe for concurrent evaluate() calls on one instance: the
- * internal workspace is reused across calls. Parallel multistarts
- * construct one HsCost per start (see synth/instantiater.cc).
+ * internal workspace is reused across calls. instantiate() builds
+ * one per call for its last lanes (see synth/instantiater.cc).
  */
 class HsCost
 {

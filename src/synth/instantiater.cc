@@ -1,6 +1,7 @@
 #include "synth/instantiater.hh"
 
-#include <atomic>
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -8,15 +9,55 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "synth/batch/batch_instantiate.hh"
 #include "synth/batch/batch_kernels.hh"
+#include "synth/batch/batched_hs_cost.hh"
 #include "synth/hs_cost.hh"
+#include "util/annotations.hh"
 #include "util/logging.hh"
-#include "resilience/thread_pool.hh"
 #include "util/names.hh"
 
 namespace quest {
 
+namespace {
+
+/** Which ISA served a batched call (one counter per table). */
+obs::Counter &
+dispatchCounter(kern::batch::SimdIsa isa)
+{
+    static auto &avx512 = obs::MetricsRegistry::global().counter(
+        names::kMetricSynthSimdDispatchAvx512);
+    static auto &avx2 = obs::MetricsRegistry::global().counter(
+        names::kMetricSynthSimdDispatchAvx2);
+    static auto &scalar = obs::MetricsRegistry::global().counter(
+        names::kMetricSynthSimdDispatchScalar);
+    switch (isa) {
+      case kern::batch::SimdIsa::Avx512:
+        return avx512;
+      case kern::batch::SimdIsa::Avx2:
+        return avx2;
+      case kern::batch::SimdIsa::Scalar:
+        break;
+    }
+    return scalar;
+}
+
+} // namespace
+
+/*
+ * Every start's L-BFGS run is an LbfgsMachine on one of kLanes lanes.
+ * Each tick evaluates all live lanes at once, feeds every machine its
+ * (f, gradient), retires finished lanes and refills them from the
+ * pending starts. Two evaluators serve the ticks:
+ *   - BatchedHsCost, one SIMD pass over all kLanes lanes, while more
+ *     than kSingleLanes lanes are live or starts are still pending;
+ *   - HsCost, one lane at a time, for the last kSingleLanes lanes. A
+ *     batched pass costs the same however many lanes are live, so a
+ *     mostly idle one loses to per-lane evaluation; every call with
+ *     at most kSingleLanes starts runs on HsCost end to end.
+ * Both are built on first use. The evaluators agree bit for bit per
+ * lane (pinned by the kernel parity tests), so which one served a
+ * tick never shows in a result.
+ */
 InstantiationResult
 instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
             const InstantiaterOptions &options,
@@ -27,13 +68,19 @@ instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
         obs::MetricsRegistry::global().counter(names::kMetricSynthInstantiations);
     static auto &starts_counter =
         obs::MetricsRegistry::global().counter(names::kMetricSynthMultistarts);
-    static auto &parallel_counter =
-        obs::MetricsRegistry::global().counter(names::kMetricSynthParallelStarts);
     static auto &early_counter =
         obs::MetricsRegistry::global().counter(names::kMetricSynthEarlyStops);
+    static auto &batched_evals = obs::MetricsRegistry::global().counter(
+        names::kMetricSynthBatchedEvals);
+    static auto &batch_lanes =
+        obs::MetricsRegistry::global().counter(names::kMetricSynthBatchLanes);
+    static auto &lane_refills = obs::MetricsRegistry::global().counter(
+        names::kMetricSynthLaneRefills);
     calls.increment();
 
     constexpr double pi = std::numbers::pi;
+    constexpr size_t L = synth::BatchedHsCost::kLanes;
+    constexpr size_t kSingleLanes = 2;
     const int n_params = ansatz.paramCount();
     const int n_starts = std::max(1, options.multistarts);
 
@@ -47,33 +94,33 @@ instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
         lbfgsOptions.budget.cancel = options.budget.cancel;
 
     // Per-start RNG streams, split serially up front: stream i is the
-    // same whether start i later runs on the caller or on any worker.
+    // same whichever lane start i later runs on.
     std::vector<Rng> streams = rng.splitN(static_cast<size_t>(n_starts));
 
     std::vector<LbfgsResult> results(static_cast<size_t>(n_starts));
     std::vector<uint8_t> computed(static_cast<size_t>(n_starts), 0);
 
+    std::optional<synth::BatchedHsCost> batched;
+    std::optional<HsCost> single;
+
+    std::array<std::optional<LbfgsMachine>, L> machines;
+    std::array<int, L> laneStart{};
+    std::array<std::vector<double>, L> gradBuf;
+    std::array<double, L> fBuf{};
+
+    // The live lanes, in ascending order. Ticks walk only these, so a
+    // call with one start pays for one lane, not kLanes.
+    std::array<size_t, L> live;
+    size_t n_live = 0;
+
     // Lowest start index that reached the goal. Starts beyond it are
-    // skippable: the serial-order reduction below never reads past the
-    // earliest goal index, so dropping them cannot change the result.
-    std::atomic<int> stop_at{n_starts};
+    // skippable: the serial-order reduction below never reads past
+    // the earliest goal index, so dropping them cannot change the
+    // result.
+    int stop_at = n_starts;
+    int next_pending = 0;
 
-    auto run_start = [&](size_t i) {
-        const int idx = static_cast<int>(i);
-        if (idx > stop_at.load(std::memory_order_acquire))
-            return;
-        if (options.budget.exhausted())
-            return; // leave computed[i] == 0: the reduction stops here
-        starts_counter.increment();
-
-        // One cost object (and so one workspace) per start: evaluate
-        // reuses it allocation-free across every L-BFGS iteration.
-        HsCost cost(target, ansatz);
-        GradObjective objective = [&cost](const std::vector<double> &x,
-                                          std::vector<double> *grad) {
-            return cost.evaluate(x, grad);
-        };
-
+    auto makeX0 = [&](int idx) {
         std::vector<double> x0(static_cast<size_t>(n_params));
         if (idx == 0 && warm_start) {
             QUEST_ASSERT(warm_start->size() <= x0.size(),
@@ -82,53 +129,107 @@ instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
             // Trailing new parameters remain zero (identity-ish U3s).
         } else {
             for (double &v : x0)
-                v = streams[i].uniform(-pi, pi);
+                v = streams[static_cast<size_t>(idx)].uniform(-pi, pi);
         }
-
-        LbfgsResult r =
-            lbfgsMinimize(objective, std::move(x0), lbfgsOptions);
-        const bool reached = r.value <= options.goal;
-        results[i] = std::move(r);
-        computed[i] = 1;
-        if (reached) {
-            int cur = stop_at.load(std::memory_order_relaxed);
-            while (idx < cur &&
-                   !stop_at.compare_exchange_weak(
-                       cur, idx, std::memory_order_release,
-                       std::memory_order_relaxed)) {
-            }
-        }
+        return x0;
     };
 
-    // The batched SIMD engine evaluates all starts lane-lockstep on
-    // the calling thread; its per-lane results are bit-identical to
-    // run_start's, so the shared reduction below selects the same
-    // winner either way. The scalar paths stay as written: they are
-    // the determinism-test reference and the QUEST_SIMD=off runtime
-    // fallback.
-    if (options.engine == InstantiaterEngine::Auto && n_starts > 1 &&
-        kern::batch::batchEngineEnabled()) {
-        synth::runBatchedMultistart(target, ansatz, streams, lbfgsOptions,
-                                    options, warm_start, results, computed);
-    } else if (options.pool && n_starts > 1) {
-        parallel_counter.add(static_cast<uint64_t>(n_starts));
-        options.pool->parallelFor(static_cast<size_t>(n_starts),
-                                  run_start, options.budget.cancel);
-    } else {
-        for (int i = 0; i < n_starts; ++i) {
-            run_start(static_cast<size_t>(i));
-            if (stop_at.load(std::memory_order_relaxed) <= i)
-                break;
+    // Claim the next runnable pending start for a free lane. Starts
+    // past the earliest goal index are skipped; a fired budget stops
+    // launching and leaves the rest uncomputed, so the reduction
+    // stops there.
+    auto launch = [&](size_t lane) -> bool {
+        while (next_pending < n_starts) {
             if (options.budget.exhausted())
-                break;
+                return false;
+            const int idx = next_pending++;
+            if (idx > stop_at)
+                continue;
+            starts_counter.increment();
+            laneStart[lane] = idx;
+            machines[lane].emplace(makeX0(idx), lbfgsOptions);
+            return true;
         }
+        return false;
+    };
+
+    auto retire = [&](size_t lane) {
+        LbfgsResult r = machines[lane]->takeResult();
+        const int idx = laneStart[lane];
+        if (r.value <= options.goal && idx < stop_at)
+            stop_at = idx;
+        results[static_cast<size_t>(idx)] = std::move(r);
+        computed[static_cast<size_t>(idx)] = 1;
+    };
+
+    while (n_live < L && launch(n_live)) {
+        live[n_live] = n_live;
+        ++n_live;
+    }
+
+    // Lockstep drain. Bounded: every machine's per-iteration budget
+    // poll (merged call budget) limits its lifetime to maxIterations
+    // line searches of at most 40 trials, and retired lanes only
+    // refill from the finite pending list.
+    while (n_live > 0) {
+        QUEST_BOUNDED_LOOP("per-lane L-BFGS budget polls bound every machine");
+        if (n_live <= kSingleLanes && next_pending >= n_starts) {
+            if (!single)
+                single.emplace(target, ansatz);
+            for (size_t k = 0; k < n_live; ++k) {
+                QUEST_BOUNDED_LOOP("at most kSingleLanes lanes");
+                const size_t lane = live[k];
+                fBuf[lane] = single->evaluate(machines[lane]->queryPoint(),
+                                              &gradBuf[lane]);
+            }
+        } else {
+            if (!batched) {
+                batched.emplace(target, ansatz);
+                dispatchCounter(kern::batch::activeSimdIsa()).increment();
+            }
+            std::array<const std::vector<double> *, L> xs{};
+            std::array<std::vector<double> *, L> grads{};
+            for (size_t k = 0; k < n_live; ++k) {
+                const size_t lane = live[k];
+                xs[lane] = &machines[lane]->queryPoint();
+                grads[lane] = &gradBuf[lane];
+            }
+            batched->evaluateBatch(xs, fBuf, grads);
+            batched_evals.increment();
+            batch_lanes.add(n_live);
+        }
+
+        for (size_t k = 0; k < n_live; ++k) {
+            const size_t lane = live[k];
+            machines[lane]->consume(fBuf[lane], gradBuf[lane]);
+            if (machines[lane]->done()) {
+                retire(lane);
+                if (launch(lane))
+                    lane_refills.increment();
+                else
+                    machines[lane].reset();
+            }
+        }
+
+        // Keep the lanes whose start can still matter: a start past
+        // the earliest goal index would be discarded unread.
+        size_t kept = 0;
+        for (size_t k = 0; k < n_live; ++k) {
+            const size_t lane = live[k];
+            if (machines[lane] && laneStart[lane] <= stop_at)
+                live[kept++] = lane;
+            else
+                machines[lane].reset();
+        }
+        n_live = kept;
     }
 
     // Serial-order best-of reduction: walk starts in index order,
     // keep the first strict improvement, stop at the first start that
     // reached the goal — exactly the serial loop's selection, so the
-    // outcome is independent of which starts ran where (or whether
-    // extra starts past the goal were computed and discarded).
+    // outcome is independent of which lane ran which start (or
+    // whether extra starts past the goal were computed and
+    // discarded).
     InstantiationResult best;
     best.distance = 1.0;
     double best_value = 2.0;

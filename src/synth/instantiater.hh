@@ -3,12 +3,12 @@
  * Multi-start instantiation: optimize an ansatz's angles against a
  * target unitary from several starting points and keep the best.
  *
- * Multistarts are independent, so they can run in parallel on a
- * cooperative ThreadPool (InstantiaterOptions::pool). Determinism is
- * preserved by construction: every start gets its own RNG stream,
- * split serially before any task runs, and the best-of reduction
- * replays the serial order's selection (including the first-to-goal
- * early stop), so the result is bit-identical at any thread count.
+ * All starts of one call run on the calling thread, up to eight at a
+ * time in lane lockstep (see instantiate()). Determinism holds by
+ * construction: every start gets its own RNG stream, split serially
+ * before any start runs, each start's iterates depend only on its
+ * own stream, and the best-of reduction replays the serial order's
+ * selection, including the first-to-goal early stop.
  */
 
 #ifndef QUEST_SYNTH_INSTANTIATER_HH
@@ -26,43 +26,12 @@
 
 namespace quest {
 
-class ThreadPool;
-
-/**
- * Which cost/optimizer engine instantiate() uses.
- *
- * Auto picks the batched SIMD engine (synth/batch/) whenever it is
- * runtime-enabled and there are at least two multistarts; Scalar
- * forces the classic one-start-at-a-time path. The two produce
- * bit-identical results — Scalar exists as the determinism-test
- * reference and for diagnosing the batched engine, not because the
- * outputs differ.
- */
-enum class InstantiaterEngine
-{
-    Auto,
-    Scalar,
-};
-
 /** Instantiation settings. */
 struct InstantiaterOptions
 {
     int multistarts = 4;        //!< random restarts per call
     LbfgsOptions lbfgs;
     double goal = 0.0;          //!< stop restarts early below this cost
-
-    /** Engine selection (see InstantiaterEngine). */
-    InstantiaterEngine engine = InstantiaterEngine::Auto;
-
-    /**
-     * Worker pool for parallel multistarts (not owned; nullptr runs
-     * them serially). The pool's parallelFor is cooperative, so the
-     * synthesizer can hand its own shared pool down here even while
-     * calling instantiate() from inside that pool's tasks. Results
-     * are bit-identical to the serial order regardless of the thread
-     * count.
-     */
-    ThreadPool *pool = nullptr;
 
     /**
      * Deadline/cancellation for the whole call, merged into the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 
 #include "obs/metrics.hh"
@@ -31,156 +30,155 @@ infNorm(const std::vector<double> &v)
     return worst;
 }
 
-/** Flush one call's iteration/evaluation tallies to the metrics
- *  registry on every exit path. */
-class LbfgsTally
-{
-  public:
-    int evaluations = 0;
-    const int *iterations = nullptr;
-
-    ~LbfgsTally()
-    {
-        static auto &calls =
-            obs::MetricsRegistry::global().counter(names::kMetricLbfgsCalls);
-        static auto &iters =
-            obs::MetricsRegistry::global().counter(names::kMetricLbfgsIterations);
-        static auto &evals = obs::MetricsRegistry::global().counter(
-            names::kMetricLbfgsEvaluations);
-        static auto &iter_hist =
-            obs::MetricsRegistry::global().histogram(
-                names::kMetricLbfgsIterationsPerCall);
-        calls.increment();
-        evals.add(static_cast<uint64_t>(evaluations));
-        if (iterations) {
-            iters.add(static_cast<uint64_t>(*iterations));
-            iter_hist.record(static_cast<uint64_t>(*iterations));
-        }
-    }
-};
-
 } // namespace
 
-LbfgsResult
-lbfgsMinimize(const GradObjective &objective, std::vector<double> x0,
-              const LbfgsOptions &options)
+LbfgsMachine::LbfgsMachine(std::vector<double> x0,
+                           const LbfgsOptions &options)
+    : options(options), n(x0.size())
 {
-    const size_t n = x0.size();
-    LbfgsResult result;
     result.x = std::move(x0);
+    grad.resize(n);
+    direction.resize(n);
+    x_new.resize(n);
+    grad_new.resize(n);
+}
 
-    LbfgsTally tally;
-    tally.iterations = &result.iterations;
+const std::vector<double> &
+LbfgsMachine::queryPoint() const
+{
+    QUEST_ASSERT(phase != Phase::Finished,
+                 "queryPoint() on a finished machine");
+    return phase == Phase::AwaitInitial ? result.x : x_new;
+}
 
-    std::vector<double> grad(n);
-    double f = objective(result.x, &grad);
-    ++tally.evaluations;
+void
+LbfgsMachine::finish(double value)
+{
+    static auto &calls =
+        obs::MetricsRegistry::global().counter(names::kMetricLbfgsCalls);
+    static auto &iters =
+        obs::MetricsRegistry::global().counter(names::kMetricLbfgsIterations);
+    static auto &evaluations = obs::MetricsRegistry::global().counter(
+        names::kMetricLbfgsEvaluations);
+    static auto &iter_hist = obs::MetricsRegistry::global().histogram(
+        names::kMetricLbfgsIterationsPerCall);
+    calls.increment();
+    evaluations.add(static_cast<uint64_t>(evals));
+    iters.add(static_cast<uint64_t>(result.iterations));
+    iter_hist.record(static_cast<uint64_t>(result.iterations));
 
-    if (!std::isfinite(f)) {
-        // A non-finite objective at the starting point cannot be
-        // optimized (every Armijo test would fail); report it as a
-        // diverged run instead of comparing against NaN below.
-        static auto &nonfinite = obs::MetricsRegistry::global().counter(
-            names::kMetricLbfgsNonfiniteObjectives);
-        nonfinite.increment();
-        result.value = std::numeric_limits<double>::infinity();
-        return result;
+    result.value = value;
+    phase = Phase::Finished;
+}
+
+void
+LbfgsMachine::proposeTrial()
+{
+    for (size_t i = 0; i < n; ++i)
+        x_new[i] = result.x[i] + step * direction[i];
+    phase = Phase::AwaitTrial;
+}
+
+void
+LbfgsMachine::beginIteration()
+{
+    if (iter >= options.maxIterations) {
+        finish(f);
+        return;
     }
 
-    if (n == 0) {
-        result.value = f;
+    // The per-iteration safe point: a cancelled or overdue run stops
+    // here with the best point found so far.
+    const resilience::StopReason stop = options.budget.stop();
+    if (stop != resilience::StopReason::None) {
+        result.stopped = stop;
+        finish(f);
+        return;
+    }
+
+    result.iterations = iter + 1;
+    if (infNorm(grad) < options.gradTolerance) {
         result.converged = true;
-        return result;
+        finish(f);
+        return;
     }
 
-    // History of (s, y, rho) pairs for the two-loop recursion.
-    struct Pair
-    {
-        std::vector<double> s;
-        std::vector<double> y;
-        double rho;
-    };
-    std::deque<Pair> history;
-
-    std::vector<double> direction(n), x_new(n), grad_new(n), alpha_buf;
-
-    for (int iter = 0; iter < options.maxIterations; ++iter) {
-        // The per-iteration safe point: a cancelled or overdue run
-        // stops here with the best point found so far.
-        const resilience::StopReason stop = options.budget.stop();
-        if (stop != resilience::StopReason::None) {
-            result.stopped = stop;
-            break;
-        }
-
-        result.iterations = iter + 1;
-        if (infNorm(grad) < options.gradTolerance) {
-            result.converged = true;
-            break;
-        }
-
-        // Two-loop recursion: direction = -H g.
-        direction = grad;
-        alpha_buf.assign(history.size(), 0.0);
-        for (size_t h = history.size(); h-- > 0;) {
-            const Pair &p = history[h];
-            double a = p.rho * dot(p.s, direction);
-            alpha_buf[h] = a;
-            for (size_t i = 0; i < n; ++i)
-                direction[i] -= a * p.y[i];
-        }
-        if (!history.empty()) {
-            const Pair &last = history.back();
-            double gamma = dot(last.s, last.y) / dot(last.y, last.y);
-            for (double &d : direction)
-                d *= gamma;
-        }
-        for (size_t h = 0; h < history.size(); ++h) {
-            const Pair &p = history[h];
-            double beta = p.rho * dot(p.y, direction);
-            for (size_t i = 0; i < n; ++i)
-                direction[i] += p.s[i] * (alpha_buf[h] - beta);
-        }
+    // Two-loop recursion: direction = -H g.
+    direction = grad;
+    alpha_buf.assign(history.size(), 0.0);
+    for (size_t h = history.size(); h-- > 0;) {
+        const Pair &p = history[h];
+        double a = p.rho * dot(p.s, direction);
+        alpha_buf[h] = a;
+        for (size_t i = 0; i < n; ++i)
+            direction[i] -= a * p.y[i];
+    }
+    if (!history.empty()) {
+        const Pair &last = history.back();
+        double gamma = dot(last.s, last.y) / dot(last.y, last.y);
         for (double &d : direction)
-            d = -d;
+            d *= gamma;
+    }
+    for (size_t h = 0; h < history.size(); ++h) {
+        const Pair &p = history[h];
+        double beta = p.rho * dot(p.y, direction);
+        for (size_t i = 0; i < n; ++i)
+            direction[i] += p.s[i] * (alpha_buf[h] - beta);
+    }
+    for (double &d : direction)
+        d = -d;
 
-        double dir_deriv = dot(grad, direction);
-        if (dir_deriv >= 0.0) {
-            // Not a descent direction: reset to steepest descent.
-            history.clear();
-            for (size_t i = 0; i < n; ++i)
-                direction[i] = -grad[i];
-            dir_deriv = -dot(grad, grad);
-        }
+    dir_deriv = dot(grad, direction);
+    if (dir_deriv >= 0.0) {
+        // Not a descent direction: reset to steepest descent.
+        history.clear();
+        for (size_t i = 0; i < n; ++i)
+            direction[i] = -grad[i];
+        dir_deriv = -dot(grad, grad);
+    }
 
-        // Backtracking Armijo line search with quadratic
-        // interpolation: fit f(step) ~ quadratic through f(0), f'(0)
-        // and the rejected trial to pick the next step.
-        constexpr double c1 = 1e-4;
-        double step = 1.0;
-        double f_new = f;
-        bool improved = false;
-        for (int ls = 0; ls < 40; ++ls) {
-            for (size_t i = 0; i < n; ++i)
-                x_new[i] = result.x[i] + step * direction[i];
-            f_new = objective(x_new, &grad_new);
-            ++tally.evaluations;
-            if (f_new <= f + c1 * step * dir_deriv) {
-                improved = true;
-                break;
-            }
-            double denom = 2.0 * (f_new - f - dir_deriv * step);
-            double interpolated =
-                denom > 0.0 ? -dir_deriv * step * step / denom
-                            : 0.5 * step;
-            step = std::clamp(interpolated, 0.1 * step, 0.5 * step);
-        }
-        if (!improved) {
-            result.converged = infNorm(grad) < 1e-6;
-            break;
-        }
+    step = 1.0;
+    ls = 0;
+    proposeTrial();
+}
 
-        // Curvature update.
+void
+LbfgsMachine::consume(double fval, std::vector<double> &g)
+{
+    QUEST_ASSERT(phase != Phase::Finished, "consume() on a finished machine");
+    ++evals;
+
+    if (phase == Phase::AwaitInitial) {
+        if (!std::isfinite(fval)) {
+            // A non-finite objective at the starting point cannot be
+            // optimized (every Armijo test would fail); report it as
+            // a diverged run instead of comparing against NaN below.
+            static auto &nonfinite = obs::MetricsRegistry::global().counter(
+                names::kMetricLbfgsNonfiniteObjectives);
+            nonfinite.increment();
+            finish(std::numeric_limits<double>::infinity());
+            return;
+        }
+        f = fval;
+        grad.swap(g);
+        if (n == 0) {
+            result.converged = true;
+            finish(f);
+            return;
+        }
+        iter = 0;
+        beginIteration();
+        return;
+    }
+
+    // A line-search trial came back: Armijo test, then either accept
+    // (curvature update, stagnation check, next iteration) or shrink
+    // the step by quadratic interpolation — fit f(step) ~ quadratic
+    // through f(0), f'(0) and the rejected trial — and retry.
+    const double f_new = fval;
+    grad_new.swap(g);
+    constexpr double c1 = 1e-4;
+    if (f_new <= f + c1 * step * dir_deriv) {
         Pair p;
         p.s.resize(n);
         p.y.resize(n);
@@ -198,18 +196,42 @@ lbfgsMinimize(const GradObjective &objective, std::vector<double> x0,
 
         double f_old = f;
         result.x = x_new;
-        grad = grad_new;
+        grad.swap(grad_new);
         f = f_new;
 
         if (std::abs(f_old - f) <=
             options.valueTolerance * std::max(1.0, std::abs(f_old))) {
             result.converged = true;
-            break;
+            finish(f);
+            return;
         }
+        ++iter;
+        beginIteration();
+        return;
     }
 
-    result.value = f;
-    return result;
+    double denom = 2.0 * (f_new - f - dir_deriv * step);
+    double interpolated =
+        denom > 0.0 ? -dir_deriv * step * step / denom : 0.5 * step;
+    step = std::clamp(interpolated, 0.1 * step, 0.5 * step);
+    ++ls;
+    if (ls >= 40) {
+        result.converged = infNorm(grad) < 1e-6;
+        finish(f);
+        return;
+    }
+    proposeTrial();
+}
+
+LbfgsResult
+lbfgsMinimize(const GradObjective &objective, std::vector<double> x0,
+              const LbfgsOptions &options)
+{
+    std::vector<double> grad(x0.size());
+    LbfgsMachine machine(std::move(x0), options);
+    while (!machine.done())
+        machine.consume(objective(machine.queryPoint(), &grad), grad);
+    return machine.takeResult();
 }
 
 } // namespace quest

@@ -2,11 +2,19 @@
  * @file
  * Limited-memory BFGS minimizer with backtracking line search: the
  * numerical-optimization engine behind circuit instantiation.
+ *
+ * LbfgsMachine is the one implementation, written with inverted
+ * control: the machine exposes the next point it wants evaluated and
+ * the caller feeds back (f, gradient). That lets instantiate() step
+ * up to eight multistarts in lane lockstep through one batched cost
+ * pass. lbfgsMinimize() is the plain driving loop for a serial
+ * objective.
  */
 
 #ifndef QUEST_SYNTH_LBFGS_HH
 #define QUEST_SYNTH_LBFGS_HH
 
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -48,6 +56,74 @@ struct LbfgsResult
 
     /** Why the loop quit early, if the budget fired. */
     resilience::StopReason stopped = resilience::StopReason::None;
+};
+
+/**
+ * One minimization in progress: initial evaluation, per-iteration
+ * budget poll, two-loop recursion, Armijo backtracking with
+ * quadratic interpolation and curvature updates, where each
+ * objective call is a queryPoint()/consume() round trip. The
+ * lbfgs.* metrics are flushed once, when the run finishes; a
+ * machine dropped before then is not counted.
+ */
+class LbfgsMachine
+{
+  public:
+    LbfgsMachine(std::vector<double> x0, const LbfgsOptions &options);
+
+    /** True once the run has terminated; queryPoint() is then
+     *  invalid and takeResult() is ready. */
+    bool done() const { return phase == Phase::Finished; }
+
+    /** The point to evaluate next (valid while !done()). */
+    const std::vector<double> &queryPoint() const;
+
+    /**
+     * Deliver the objective value and gradient at queryPoint().
+     * @p grad is swapped with a buffer of the parameter count (its
+     * post-call contents are unspecified), so one caller buffer is
+     * reused round-robin.
+     */
+    void consume(double f, std::vector<double> &grad);
+
+    /** The finished result (valid once done()). */
+    LbfgsResult takeResult() { return std::move(result); }
+
+  private:
+    enum class Phase
+    {
+        AwaitInitial,  //!< waiting for f/grad at the start point
+        AwaitTrial,    //!< waiting for f/grad at a line-search trial
+        Finished,
+    };
+
+    struct Pair
+    {
+        std::vector<double> s;
+        std::vector<double> y;
+        double rho;
+    };
+
+    void beginIteration();
+    void proposeTrial();
+    void finish(double value);
+
+    LbfgsOptions options;
+    LbfgsResult result;
+    Phase phase = Phase::AwaitInitial;
+    size_t n = 0;
+    int evals = 0;
+    int iter = 0;
+
+    double f = 0.0;
+    std::vector<double> grad;
+    std::deque<Pair> history;
+    std::vector<double> direction, x_new, grad_new, alpha_buf;
+
+    // Line-search state.
+    double step = 1.0;
+    double dir_deriv = 0.0;
+    int ls = 0;
 };
 
 /** Minimize an unconstrained smooth objective from @p x0. */

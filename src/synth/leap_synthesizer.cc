@@ -242,9 +242,6 @@ LeapSynthesizer::synthesize(const Matrix &target, int max_cnots,
     // is safe even from inside the caller's own parallelFor), else a
     // private pool of cfg.threads - 1 workers — the calling thread
     // participates, so cfg.threads is the total busy-thread count.
-    // The same pool is handed down to instantiate() so multistarts
-    // parallelize too; nested parallelFor on a cooperative pool keeps
-    // the thread budget intact.
     ThreadPool *pool = cfg.pool;
     std::optional<ThreadPool> local_pool;
     if (!pool && cfg.threads > 1) {
@@ -254,7 +251,6 @@ LeapSynthesizer::synthesize(const Matrix &target, int max_cnots,
 
     InstantiaterOptions inst = cfg.inst;
     inst.goal = cfg.exactEpsilon * cfg.exactEpsilon;
-    inst.pool = pool;
     inst.budget = inst.budget.withDeadline(cfg.budget.deadline);
     if (!inst.budget.cancel)
         inst.budget.cancel = cfg.budget.cancel;

@@ -27,9 +27,7 @@ parseOverride()
     std::string v(raw);
     for (char &c : v)
         c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (v == "off" || v == "0" || v == "none")
-        return SimdOverride::Off;
-    if (v == "scalar")
+    if (v == "scalar" || v == "off" || v == "0" || v == "none")
         return SimdOverride::Scalar;
     if (v == "avx2")
         return SimdOverride::Avx2;

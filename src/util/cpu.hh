@@ -32,9 +32,8 @@ const CpuFeatures &cpuFeatures();
 /**
  * Parsed value of the QUEST_SIMD environment variable, read once.
  *
- *   off     — disable the batched engine entirely (classic scalar
- *             instantiation path only)
- *   scalar  — batched engine with the portable scalar-lane kernels
+ *   scalar  — the portable scalar-lane kernels (no vector ISA);
+ *             off, 0 and none mean the same
  *   avx2    — cap the dispatch at AVX2
  *   avx512  — request AVX-512 (falls back if the host lacks it)
  *
@@ -43,7 +42,6 @@ const CpuFeatures &cpuFeatures();
 enum class SimdOverride
 {
     None,
-    Off,
     Scalar,
     Avx2,
     Avx512,

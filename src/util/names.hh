@@ -96,8 +96,6 @@ inline constexpr const char kMetricSynthInstantiations[] =
     "synth.instantiations";
 inline constexpr const char kMetricSynthMultistarts[] =
     "synth.multistarts";
-inline constexpr const char kMetricSynthParallelStarts[] =
-    "synth.parallel_starts";
 inline constexpr const char kMetricSynthEarlyStops[] =
     "synth.early_stops";
 inline constexpr const char kMetricSynthWorkspaceReuses[] =

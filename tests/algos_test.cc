@@ -273,7 +273,8 @@ TEST(Suite, LargeSuiteCoversScalingWidths)
     ASSERT_EQ(suite.size(), 9u);
     // tfim/qaoa/adder at each of 64/96/128 qubits, in width order.
     for (int w : {64, 96, 128}) {
-        const std::string suffix = "_" + std::to_string(w);
+        std::string suffix = "_";
+        suffix += std::to_string(w);
         for (const char *family : {"tfim", "qaoa", "adder"}) {
             const auto &spec =
                 algos::findSpec(suite, family + suffix);

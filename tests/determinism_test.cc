@@ -10,14 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <span>
 
 #include "algos/algorithms.hh"
 #include "anneal/dual_annealing.hh"
 #include "ir/qasm.hh"
 #include "quest/pipeline.hh"
 #include "synth/instantiater.hh"
-#include "resilience/thread_pool.hh"
+#include "util/serialize.hh"
 
 namespace quest {
 namespace {
@@ -124,146 +126,138 @@ TEST(Determinism, SeedChangesTheRun)
     EXPECT_TRUE(any_difference);
 }
 
-/** An ansatz-generated target, so the instantiation goal is reachable
- *  and the first-to-goal early stop actually triggers. */
-Matrix
-reachableTarget(Ansatz &a, std::vector<double> *truth_out = nullptr)
+// ---------------------------------------------------------------------
+// Golden instantiate() pins. Every multistart call runs one lane-
+// lockstep driver (BatchedHsCost ticks, then the one-lane HsCost for
+// the last lanes); these rows pin its results to the ones the
+// retired one-start-at-a-time scalar engine produced, bit for bit.
+// They were captured from that engine (InstantiaterEngine::Scalar,
+// no pool) at commit cf04da3 by looping over kPinWidths, multistarts
+// {1, 2, 4, 11} and goals {kReachableGoal, kUnreachableGoal} exactly
+// as runPin() does below, printing the distance with printf("%a")
+// and fnv1a64 over the params' bytes with printf("0x%016llx"). The
+// batched engine of that commit gave the same rows with QUEST_SIMD
+// unset, =scalar, =avx2 and =off.
+
+/** One width's ansatz, iteration cap and instantiate() seed. The
+ *  cap and seed are chosen so the first start misses the goal and a
+ *  later one reaches it: the early stop then drops live lanes and
+ *  skips pending starts past a nonzero index. */
+struct PinWidth
+{
+    int qubits;
+    int maxIterations;
+    uint64_t seed;
+};
+
+constexpr PinWidth kPinWidths[] = {
+    {2, 40, 42}, {3, 40, 44}, {4, 200, 47}, {5, 80, 48}};
+
+constexpr double kReachableGoal = 1e-10;
+constexpr double kUnreachableGoal = -1.0;  //!< below any HS cost
+
+struct InstantiatePin
+{
+    int qubits;
+    int multistarts;
+    double distance;
+    uint64_t paramsHash;
+};
+
+constexpr InstantiatePin kReachablePins[] = {
+    {2, 1, 0x1.7bccf199ef559p-7, 0xb77ac4969e847346ull},
+    {2, 2, 0x1.7bccf199ef559p-7, 0xb77ac4969e847346ull},
+    {2, 4, 0x1.4e7d5a6c62f4ep-9, 0x80b78f69b8f409abull},
+    {2, 11, 0x1.d8bec3c150194p-22, 0x956da0158deffd9dull},
+    {3, 1, 0x1.faf4c92f86664p-13, 0x674f134dfc85262dull},
+    {3, 2, 0x1.faf4c92f86664p-13, 0x674f134dfc85262dull},
+    {3, 4, 0x1.faf4c92f86664p-13, 0x674f134dfc85262dull},
+    {3, 11, 0x1.0867ad94c80ap-17, 0xd6f86e6be938dd60ull},
+    {4, 1, 0x1.f64a2917f0149p-7, 0xab7eadb784fcf60full},
+    {4, 2, 0x1.f261a21fcdfp-20, 0xa98e13cd32c7f1aaull},
+    {4, 4, 0x1.f261a21fcdfp-20, 0xa98e13cd32c7f1aaull},
+    {4, 11, 0x1.f261a21fcdfp-20, 0xa98e13cd32c7f1aaull},
+    {5, 1, 0x1.ffc23d4d3e85ap-1, 0x3a0f4c3e64c88c29ull},
+    {5, 2, 0x1.fa9a3ebfacdf2p-1, 0x2e93429af8c413a3ull},
+    {5, 4, 0x1.fa9a3ebfacdf2p-1, 0x2e93429af8c413a3ull},
+    {5, 11, 0x1.16dad43bc9c5ap-20, 0x887d4b3913f6df04ull},
+};
+
+constexpr InstantiatePin kUnreachablePins[] = {
+    {2, 1, 0x1.7bccf199ef559p-7, 0xb77ac4969e847346ull},
+    {2, 2, 0x1.7bccf199ef559p-7, 0xb77ac4969e847346ull},
+    {2, 4, 0x1.4e7d5a6c62f4ep-9, 0x80b78f69b8f409abull},
+    {2, 11, 0x1.d8bec3c150194p-22, 0x956da0158deffd9dull},
+    {3, 1, 0x1.faf4c92f86664p-13, 0x674f134dfc85262dull},
+    {3, 2, 0x1.faf4c92f86664p-13, 0x674f134dfc85262dull},
+    {3, 4, 0x1.faf4c92f86664p-13, 0x674f134dfc85262dull},
+    {3, 11, 0x1.0867ad94c80ap-17, 0xd6f86e6be938dd60ull},
+    {4, 1, 0x1.f64a2917f0149p-7, 0xab7eadb784fcf60full},
+    {4, 2, 0x1.f261a21fcdfp-20, 0xa98e13cd32c7f1aaull},
+    {4, 4, 0x1.08e853f43b0dfp-21, 0x94dda7a48bbf0863ull},
+    {4, 11, 0x1.6954b41cd4293p-23, 0x53e8f743da9f87ecull},
+    {5, 1, 0x1.ffc23d4d3e85ap-1, 0x3a0f4c3e64c88c29ull},
+    {5, 2, 0x1.fa9a3ebfacdf2p-1, 0x2e93429af8c413a3ull},
+    {5, 4, 0x1.fa9a3ebfacdf2p-1, 0x2e93429af8c413a3ull},
+    {5, 11, 0x1.16dad43bc9c5ap-20, 0x887d4b3913f6df04ull},
+};
+
+/** instantiate() for one pin row: a chain ansatz plus a closing
+ *  (1, 0) layer, against its own unitary at Rng(21) angles. */
+InstantiationResult
+runPin(const PinWidth &width, int multistarts, double goal)
 {
     constexpr double pi = std::numbers::pi;
-    Rng rng(21);
-    std::vector<double> truth(a.paramCount());
+    Ansatz a = Ansatz::initialLayer(width.qubits);
+    for (int q = 0; q + 1 < width.qubits; ++q)
+        a.addLayer(q, q + 1);
+    a.addLayer(1, 0);
+    Rng truth_rng(21);
+    std::vector<double> truth(static_cast<size_t>(a.paramCount()));
     for (double &v : truth)
-        v = rng.uniform(-pi, pi);
-    if (truth_out)
-        *truth_out = truth;
-    return a.unitary(truth);
-}
+        v = truth_rng.uniform(-pi, pi);
+    const Matrix target = a.unitary(truth);
 
-/** instantiate() with the given pool (nullptr = serial path) and
- *  engine. Engine::Scalar pins the classic per-start path; Auto lets
- *  the batched SIMD engine claim the run when it is enabled. */
-InstantiationResult
-runInstantiation(const Matrix &target, const Ansatz &a, ThreadPool *pool,
-                 double goal, InstantiaterEngine engine,
-                 int multistarts = 6)
-{
     InstantiaterOptions opts;
     opts.multistarts = multistarts;
-    opts.lbfgs.maxIterations = 200;
+    opts.lbfgs.maxIterations = width.maxIterations;
     opts.goal = goal;
-    opts.pool = pool;
-    opts.engine = engine;
-    Rng rng(42);
+    Rng rng(width.seed);
     return instantiate(target, a, rng, opts);
 }
 
-TEST(Determinism, ParallelMultistartMatchesSerialWithEarlyStop)
+void
+expectPins(std::span<const InstantiatePin> pins, double goal)
 {
-    Ansatz a = Ansatz::initialLayer(2);
-    a.addLayer(0, 1);
-    a.addLayer(1, 0);
-    const Matrix target = reachableTarget(a);
-
-    // goal 1e-10 on the cost is reachable (the target is in the
-    // ansatz family), so some start triggers the early stop and the
-    // skip/reduction logic is exercised, not just the happy path.
-    const InstantiationResult serial = runInstantiation(
-        target, a, nullptr, 1e-10, InstantiaterEngine::Scalar);
-    EXPECT_LT(serial.distance, 1e-4);
-
-    // Worker counts 0/1/7 = thread counts 1/2/8 (caller included).
-    for (unsigned workers : {0u, 1u, 7u}) {
-        ThreadPool pool(workers);
-        const InstantiationResult r = runInstantiation(
-            target, a, &pool, 1e-10, InstantiaterEngine::Scalar);
-        EXPECT_EQ(r.distance, serial.distance) << workers << " workers";
-        ASSERT_EQ(r.params.size(), serial.params.size());
-        for (size_t i = 0; i < r.params.size(); ++i)
-            EXPECT_EQ(r.params[i], serial.params[i])
-                << workers << " workers, param " << i;
-    }
-}
-
-TEST(Determinism, ParallelMultistartMatchesSerialWithoutEarlyStop)
-{
-    Ansatz a = Ansatz::initialLayer(2);
-    a.addLayer(0, 1);
-    const Matrix target = reachableTarget(a);
-
-    // goal 0 is unreachable: every start runs to completion and the
-    // reduction walks the full results array.
-    const InstantiationResult serial = runInstantiation(
-        target, a, nullptr, 0.0, InstantiaterEngine::Scalar);
-    for (unsigned workers : {1u, 7u}) {
-        ThreadPool pool(workers);
-        const InstantiationResult r = runInstantiation(
-            target, a, &pool, 0.0, InstantiaterEngine::Scalar);
-        EXPECT_EQ(r.distance, serial.distance) << workers << " workers";
-        ASSERT_EQ(r.params.size(), serial.params.size());
-        for (size_t i = 0; i < r.params.size(); ++i)
-            EXPECT_EQ(r.params[i], serial.params[i])
-                << workers << " workers, param " << i;
+    for (const InstantiatePin &pin : pins) {
+        const PinWidth *width = nullptr;
+        for (const PinWidth &w : kPinWidths) {
+            if (w.qubits == pin.qubits)
+                width = &w;
+        }
+        ASSERT_NE(width, nullptr);
+        const InstantiationResult r = runPin(*width, pin.multistarts, goal);
+        EXPECT_EQ(r.distance, pin.distance)
+            << pin.qubits << " qubits, " << pin.multistarts << " starts";
+        EXPECT_EQ(fnv1a64(r.params.data(), r.params.size() * sizeof(double)),
+                  pin.paramsHash)
+            << pin.qubits << " qubits, " << pin.multistarts << " starts";
     }
 }
 
 TEST(Determinism, BatchedEngineMatchesScalarSerialWithEarlyStop)
 {
-    Ansatz a = Ansatz::initialLayer(2);
-    a.addLayer(0, 1);
-    a.addLayer(1, 0);
-    const Matrix target = reachableTarget(a);
-
-    // The reference is the classic serial scalar engine; the batched
-    // SIMD engine (engine = Auto, when enabled at runtime) must match
-    // it bit for bit, including the first-to-goal early stop — and
-    // regardless of any thread pool handed in, since the batched
-    // driver runs lane-lockstep on the calling thread.
-    const InstantiationResult scalar = runInstantiation(
-        target, a, nullptr, 1e-10, InstantiaterEngine::Scalar);
-    EXPECT_LT(scalar.distance, 1e-4);
-
-    const InstantiationResult batched = runInstantiation(
-        target, a, nullptr, 1e-10, InstantiaterEngine::Auto);
-    EXPECT_EQ(batched.distance, scalar.distance);
-    ASSERT_EQ(batched.params.size(), scalar.params.size());
-    for (size_t i = 0; i < batched.params.size(); ++i)
-        EXPECT_EQ(batched.params[i], scalar.params[i]) << "param " << i;
-
-    // Worker counts 0/1/7 = thread counts 1/2/8 (caller included).
-    for (unsigned workers : {0u, 1u, 7u}) {
-        ThreadPool pool(workers);
-        const InstantiationResult r = runInstantiation(
-            target, a, &pool, 1e-10, InstantiaterEngine::Auto);
-        EXPECT_EQ(r.distance, scalar.distance) << workers << " workers";
-        ASSERT_EQ(r.params.size(), scalar.params.size());
-        for (size_t i = 0; i < r.params.size(); ++i)
-            EXPECT_EQ(r.params[i], scalar.params[i])
-                << workers << " workers, param " << i;
-    }
+    // The first start to reach the goal ends the call: live lanes
+    // with a later start are dropped and pending ones never launch.
+    expectPins(kReachablePins, kReachableGoal);
 }
 
 TEST(Determinism, BatchedEngineMatchesScalarSerialAcrossLaneRefills)
 {
-    Ansatz a = Ansatz::initialLayer(2);
-    a.addLayer(0, 1);
-    const Matrix target = reachableTarget(a);
-
-    // 11 starts > kLanes (8) with an unreachable goal: every lane
-    // retires at least once and the refill path runs, so pending
-    // starts are proven to resume on whichever lane frees up without
-    // perturbing any other lane's iterates.
-    const InstantiationResult scalar = runInstantiation(
-        target, a, nullptr, 0.0, InstantiaterEngine::Scalar, 11);
-    for (unsigned workers : {0u, 7u}) {
-        ThreadPool pool(workers);
-        const InstantiationResult r = runInstantiation(
-            target, a, &pool, 0.0, InstantiaterEngine::Auto, 11);
-        EXPECT_EQ(r.distance, scalar.distance) << workers << " workers";
-        ASSERT_EQ(r.params.size(), scalar.params.size());
-        for (size_t i = 0; i < r.params.size(); ++i)
-            EXPECT_EQ(r.params[i], scalar.params[i])
-                << workers << " workers, param " << i;
-    }
+    // No start can reach the goal, so every start runs, and 11
+    // starts exceed the 8 lanes, so retired lanes refill from the
+    // pending starts.
+    expectPins(kUnreachablePins, kUnreachableGoal);
 }
 
 TEST(Determinism, DualAnnealingSameSeed)

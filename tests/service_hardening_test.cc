@@ -378,6 +378,10 @@ TEST(ServiceHardening, TenantQuotaShedsWithRetryHint)
     heavy.tenant = "noisy";
     const SubmitReply blocker = client.submit(heavy);
     ASSERT_TRUE(blocker.accepted);
+    // The quota counts queued jobs: let the blocker start first.
+    ASSERT_TRUE(eventually([&] {
+        return client.status(blocker.jobId).state != JobState::Queued;
+    }, 10.0));
 
     SubmitRequest tiny = tinyRequest();
     tiny.tenant = "noisy";

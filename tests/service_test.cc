@@ -98,6 +98,23 @@ tinyOptions()
 
 // ---- protocol goldens --------------------------------------------
 
+/**
+ * Wait, for at most about ten seconds, until job @p id has left
+ * Queued. A test that parks a blocker on its only executor calls
+ * this before its next submit, so that submit meets a busy executor
+ * and not the blocker still in the queue.
+ */
+bool
+leftQueue(QuestClient &client, uint64_t id)
+{
+    for (int polls = 0; polls < 10000; ++polls) {
+        if (client.status(id).state != JobState::Queued)
+            return true;
+        usleep(1000);
+    }
+    return false;
+}
+
 TEST(Qsv1Frame, GoldenStatusRequestBytes)
 {
     // The worked example from docs/FORMATS.md: Status for job 7.
@@ -530,6 +547,7 @@ TEST(ServiceEndToEnd, QueueBoundShedsLoad)
     heavy.options.maxLayers = 10;
     const SubmitReply blocker = client.submit(heavy);
     ASSERT_TRUE(blocker.accepted);
+    ASSERT_TRUE(leftQueue(client, blocker.jobId));
 
     SubmitRequest tiny;
     tiny.options = tinyOptions();
@@ -607,6 +625,7 @@ TEST(ServiceProperty, PriorityOrderIsDeterministic)
     heavy.options.maxLayers = 10;
     const SubmitReply blocker = client.submit(heavy);
     ASSERT_TRUE(blocker.accepted);
+    ASSERT_TRUE(leftQueue(client, blocker.jobId));
 
     SubmitRequest tiny;
     tiny.options = tinyOptions();
@@ -667,6 +686,7 @@ TEST(ServiceProperty, CancelQueuedJobNeverRunsPipeline)
     heavy.options.maxLayers = 10;
     const SubmitReply blocker = client.submit(heavy);
     ASSERT_TRUE(blocker.accepted);
+    ASSERT_TRUE(leftQueue(client, blocker.jobId));
 
     SubmitRequest tiny;
     tiny.options = tinyOptions();

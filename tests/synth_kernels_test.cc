@@ -23,11 +23,14 @@
 #include "linalg/decompose.hh"
 #include "linalg/embed.hh"
 #include "linalg/matrix.hh"
+#include "obs/metrics.hh"
 #include "synth/ansatz.hh"
 #include "synth/batch/batch_kernels.hh"
 #include "synth/batch/batched_hs_cost.hh"
 #include "synth/hs_cost.hh"
+#include "synth/instantiater.hh"
 #include "synth/kernels.hh"
+#include "util/names.hh"
 #include "util/rng.hh"
 
 // ---------------------------------------------------------------------
@@ -38,7 +41,7 @@ namespace {
 std::atomic<uint64_t> g_allocation_count{0};
 }
 
-void *
+[[gnu::noinline]] void *
 operator new(std::size_t n)
 {
     g_allocation_count.fetch_add(1, std::memory_order_relaxed);
@@ -47,31 +50,31 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t n)
 {
     return operator new(n);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -759,6 +762,57 @@ TEST(HsCostWorkspace, ConstructorWarmsTheArena)
     cost.evaluate(x, nullptr);
     EXPECT_EQ(cost.workspace().allocations, 1u);
     EXPECT_EQ(cost.workspace().reuses, 1u);
+}
+
+TEST(InstantiateDispatch, CountedOnlyForCallsWithABatchedTick)
+{
+    // synth.simd_dispatch.* counts calls that built the batched
+    // evaluator. A 2-start call runs on the one-lane HsCost end to
+    // end and must not touch it; a 4-start call starts with batched
+    // ticks and adds exactly one to the active ISA's counter.
+    auto &registry = obs::MetricsRegistry::global();
+    auto &batched_evals =
+        registry.counter(names::kMetricSynthBatchedEvals);
+    obs::Counter *dispatch[] = {
+        &registry.counter(names::kMetricSynthSimdDispatchAvx512),
+        &registry.counter(names::kMetricSynthSimdDispatchAvx2),
+        &registry.counter(names::kMetricSynthSimdDispatchScalar)};
+    size_t active = 2;
+    if (kern::batch::activeSimdIsa() == kern::batch::SimdIsa::Avx512)
+        active = 0;
+    else if (kern::batch::activeSimdIsa() == kern::batch::SimdIsa::Avx2)
+        active = 1;
+    auto snapshot = [&] {
+        std::array<uint64_t, 3> v{};
+        for (size_t i = 0; i < 3; ++i)
+            v[i] = dispatch[i]->value();
+        return v;
+    };
+
+    Ansatz a = Ansatz::initialLayer(2);
+    a.addLayer(0, 1);
+    Rng rng(9);
+    std::vector<double> truth(static_cast<size_t>(a.paramCount()));
+    for (double &v : truth)
+        v = rng.uniform(-pi, pi);
+    const Matrix target = a.unitary(truth);
+    InstantiaterOptions opts;
+    opts.lbfgs.maxIterations = 20;
+    opts.goal = -1.0;  // every start runs
+
+    const auto before = snapshot();
+    const uint64_t evals_before = batched_evals.value();
+    opts.multistarts = 2;
+    instantiate(target, a, rng, opts);
+    EXPECT_EQ(snapshot(), before);
+    EXPECT_EQ(batched_evals.value(), evals_before);
+
+    opts.multistarts = 4;
+    instantiate(target, a, rng, opts);
+    std::array<uint64_t, 3> expected = before;
+    ++expected[active];
+    EXPECT_EQ(snapshot(), expected);
+    EXPECT_GT(batched_evals.value(), evals_before);
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 /**
  * @file
- * L-BFGS minimizer tests on standard optimization problems.
+ * L-BFGS minimizer tests on standard optimization problems, plus
+ * golden pins of its exact iterates.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "synth/batch/lbfgs_machine.hh"
 #include "synth/lbfgs.hh"
 
 namespace quest {
@@ -143,55 +143,44 @@ TEST(Lbfgs, MonotoneNonIncreasing)
 }
 
 // ---------------------------------------------------------------------
-// LbfgsMachine (synth/batch/lbfgs_machine.hh) is the inverted-control
-// transcription of lbfgsMinimize that the batched engine steps in
-// lane lockstep. Fed the same objective it must visit the same points
-// and produce the SAME LbfgsResult, bit for bit — the batched
-// engine's determinism guarantee rests on this.
+// Golden pins. LbfgsMachine is the one L-BFGS implementation and
+// lbfgsMinimize() only drives it, so these pin the machine to the
+// exact results of the standalone lbfgsMinimize loop it was
+// transcribed from: value, point, iterations, flags and evaluation
+// count, bit for bit. The instantiate() determinism pins rest on the
+// same iterates. Captured at commit cf04da3 by running each landscape
+// below through that lbfgsMinimize with a counting objective and
+// printing every double with printf("%a").
 
-struct MachineRun
+struct LbfgsPin
 {
-    LbfgsResult result;
+    double value;
+    std::vector<double> x;
+    int iterations;
+    bool converged;
     int evaluations;
 };
 
-/** Drive a machine to completion with a serial objective. */
-MachineRun
-driveMachine(const GradObjective &objective, std::vector<double> x0,
-             const LbfgsOptions &options = {})
-{
-    synth::LbfgsMachine machine(std::move(x0), options);
-    std::vector<double> grad;
-    while (!machine.done()) {
-        const double f = objective(machine.queryPoint(), &grad);
-        machine.consume(f, grad);
-    }
-    return {machine.takeResult(), machine.evaluations()};
-}
-
-/** Run both engines and require bitwise-identical outcomes. */
+/** Minimize through a counting objective and compare to @p pin. */
 void
-expectMachineMatchesMinimize(const GradObjective &objective,
-                             const std::vector<double> &x0,
-                             const LbfgsOptions &options = {})
+expectPin(const GradObjective &objective, std::vector<double> x0,
+          const LbfgsPin &pin, const LbfgsOptions &options = {})
 {
-    int serial_evals = 0;
+    int evaluations = 0;
     GradObjective counted = [&](const std::vector<double> &x,
                                 std::vector<double> *g) {
-        ++serial_evals;
+        ++evaluations;
         return objective(x, g);
     };
-    const LbfgsResult serial = lbfgsMinimize(counted, x0, options);
-    const MachineRun machine = driveMachine(objective, x0, options);
-
-    EXPECT_EQ(machine.result.value, serial.value);
-    EXPECT_EQ(machine.result.iterations, serial.iterations);
-    EXPECT_EQ(machine.result.converged, serial.converged);
-    EXPECT_EQ(machine.result.stopped, serial.stopped);
-    EXPECT_EQ(machine.evaluations, serial_evals);
-    ASSERT_EQ(machine.result.x.size(), serial.x.size());
-    for (size_t i = 0; i < serial.x.size(); ++i)
-        EXPECT_EQ(machine.result.x[i], serial.x[i]) << "i=" << i;
+    const LbfgsResult r = lbfgsMinimize(counted, std::move(x0), options);
+    EXPECT_EQ(r.value, pin.value);
+    EXPECT_EQ(r.iterations, pin.iterations);
+    EXPECT_EQ(r.converged, pin.converged);
+    EXPECT_EQ(r.stopped, resilience::StopReason::None);
+    EXPECT_EQ(evaluations, pin.evaluations);
+    ASSERT_EQ(r.x.size(), pin.x.size());
+    for (size_t i = 0; i < pin.x.size(); ++i)
+        EXPECT_EQ(r.x[i], pin.x[i]) << "i=" << i;
 }
 
 TEST(LbfgsMachine, MatchesMinimizeOnQuadraticBowl)
@@ -208,7 +197,8 @@ TEST(LbfgsMachine, MatchesMinimizeOnQuadraticBowl)
         }
         return v;
     };
-    expectMachineMatchesMinimize(f, {5.0, -3.0, 0.0});
+    expectPin(f, {5.0, -3.0, 0.0},
+              {0x0p+0, {0x1p+0, 0x1p+0, 0x1p+0}, 2, true, 3});
 }
 
 TEST(LbfgsMachine, MatchesMinimizeOnIllConditionedQuadratic)
@@ -219,14 +209,18 @@ TEST(LbfgsMachine, MatchesMinimizeOnIllConditionedQuadratic)
             *g = {2.0 * x[0], 2000.0 * x[1]};
         return x[0] * x[0] + 1000.0 * x[1] * x[1];
     };
-    expectMachineMatchesMinimize(f, {3.0, 1.0});
+    expectPin(f, {3.0, 1.0},
+              {0x1.2c61a2cba8cc3p-88,
+               {-0x1.1411352c72p-44, -0x1.a79bf1cap-53},
+               5,
+               true,
+               10});
 }
 
 TEST(LbfgsMachine, MatchesMinimizeOnRosenbrock)
 {
-    // Long run: hundreds of iterations, many line-search rejections
-    // and curvature updates — exercises every branch of the
-    // transcription.
+    // Long run: line-search rejections and curvature updates
+    // exercise every branch of the machine.
     GradObjective f = [](const std::vector<double> &x,
                          std::vector<double> *g) {
         double a = 1.0 - x[0];
@@ -237,7 +231,13 @@ TEST(LbfgsMachine, MatchesMinimizeOnRosenbrock)
     };
     LbfgsOptions opts;
     opts.maxIterations = 2000;
-    expectMachineMatchesMinimize(f, {-1.2, 1.0}, opts);
+    expectPin(f, {-1.2, 1.0},
+              {0x1.193e320ea88p-65,
+               {0x1.fffffffee6097p-1, 0x1.fffffffdb2adap-1},
+               44,
+               true,
+               55},
+              opts);
 }
 
 TEST(LbfgsMachine, MatchesMinimizeOnTrigLandscape)
@@ -248,7 +248,9 @@ TEST(LbfgsMachine, MatchesMinimizeOnTrigLandscape)
             *g = {std::sin(x[0]), std::sin(x[1])};
         return -std::cos(x[0]) - std::cos(x[1]);
     };
-    expectMachineMatchesMinimize(f, {0.3, -0.4});
+    expectPin(f, {0.3, -0.4},
+              {-0x1p+1, {0x1.d5865f776a8p-34, 0x1.7f1fd3ee0dp-36}, 4, true,
+               5});
 }
 
 TEST(LbfgsMachine, MatchesMinimizeAtTheMinimum)
@@ -259,14 +261,14 @@ TEST(LbfgsMachine, MatchesMinimizeAtTheMinimum)
             *g = {2.0 * x[0]};
         return x[0] * x[0];
     };
-    expectMachineMatchesMinimize(f, {0.0});
+    expectPin(f, {0.0}, {0x0p+0, {0x0p+0}, 1, true, 1});
 }
 
 TEST(LbfgsMachine, MatchesMinimizeOnEmptyParameterVector)
 {
     GradObjective f = [](const std::vector<double> &,
                          std::vector<double> *) { return 7.0; };
-    expectMachineMatchesMinimize(f, {});
+    expectPin(f, {}, {0x1.cp+2, {}, 0, true, 1});
 }
 
 TEST(LbfgsMachine, MatchesMinimizeUnderIterationCap)
@@ -279,24 +281,44 @@ TEST(LbfgsMachine, MatchesMinimizeUnderIterationCap)
             *g = {-2.0 * a - 400.0 * x[0] * b, 200.0 * b};
         return a * a + 100.0 * b * b;
     };
-    for (int cap : {0, 1, 3}) {
+    const std::pair<int, LbfgsPin> caps[] = {
+        {0,
+         {0x1.8333333333332p+4, {-0x1.3333333333333p+0, 0x1p+0}, 0, false,
+          1}},
+        {1,
+         {0x1.86cde49af35d4p+3,
+          {-0x1.d15aec4ca7072p-1, 0x1.1e6ad50007b56p+0},
+          1,
+          false,
+          6}},
+        {3,
+         {0x1.075cc8e640201p+2,
+          {-0x1.074d4f1874cccp+0, 0x1.0e84eea605062p+0},
+          3,
+          false,
+          8}},
+    };
+    for (const auto &[cap, pin] : caps) {
+        SCOPED_TRACE(cap);
         LbfgsOptions opts;
         opts.maxIterations = cap;
-        expectMachineMatchesMinimize(f, {-1.2, 1.0}, opts);
+        expectPin(f, {-1.2, 1.0}, pin, opts);
     }
 }
 
 TEST(LbfgsMachine, MatchesMinimizeOnNonFiniteObjective)
 {
-    // A diverged start: both engines must report value = inf without
-    // touching the point.
+    // A diverged start reports value = inf without touching the
+    // point.
     GradObjective f = [](const std::vector<double> &x,
                          std::vector<double> *g) {
         if (g)
             g->assign(x.size(), 0.0);
         return std::numeric_limits<double>::quiet_NaN();
     };
-    expectMachineMatchesMinimize(f, {1.0, 2.0});
+    expectPin(f, {1.0, 2.0},
+              {std::numeric_limits<double>::infinity(), {0x1p+0, 0x1p+1}, 0,
+               false, 1});
 }
 
 } // namespace

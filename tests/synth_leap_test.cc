@@ -138,9 +138,11 @@ TEST(Leap, CandidateMetadataIsConsistent)
     // minimum distance when nothing is exact.
     const SynthCandidate &best = out.best();
     if (best.distance < synth.config().exactEpsilon) {
-        for (const SynthCandidate &cand : out.candidates)
-            if (cand.distance < synth.config().exactEpsilon)
+        for (const SynthCandidate &cand : out.candidates) {
+            if (cand.distance < synth.config().exactEpsilon) {
                 EXPECT_LE(best.cnotCount, cand.cnotCount);
+            }
+        }
     } else {
         for (const SynthCandidate &cand : out.candidates)
             EXPECT_GE(cand.distance, best.distance - 1e-12);
