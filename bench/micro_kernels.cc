@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the hot kernels behind the
- * QUEST pipeline: statevector gate application, HS distance,
- * gradient evaluation, instantiation and annealing steps.
+ * QUEST pipeline: statevector gate application, HS distance, dense
+ * unitary builds (serial, pooled and block-sized), gradient
+ * evaluation, instantiation and annealing steps.
  *
  * Besides the google-benchmark suite, main() measures instantiation
  * throughput directly and archives it as BENCH_instantiation.json
@@ -23,6 +24,7 @@
 #include "bench_common.hh"
 #include "ir/lower.hh"
 #include "linalg/distance.hh"
+#include "resilience/thread_pool.hh"
 #include "sim/statevector.hh"
 #include "sim/unitary_builder.hh"
 #include "synth/batch/batched_hs_cost.hh"
@@ -103,7 +105,31 @@ BM_BuildUnitary(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(buildUnitary(c));
 }
-BENCHMARK(BM_BuildUnitary)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
+BENCHMARK(BM_BuildUnitary)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(10);
+
+/** The pooled overload: column slabs on a pool of 3 workers (4
+ *  threads with the caller). */
+void
+BM_BuildUnitaryPool(benchmark::State &state)
+{
+    const int n = static_cast<int>(state.range(0));
+    Circuit c = lowerToNative(algos::tfim(n, 2));
+    ThreadPool pool(3);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(buildUnitary(c, &pool));
+}
+BENCHMARK(BM_BuildUnitaryPool)->Arg(8)->Arg(10)->UseRealTime();
+
+/** Block unitaries, at the partitioner's block widths. */
+void
+BM_CircuitUnitary(benchmark::State &state)
+{
+    const int n = static_cast<int>(state.range(0));
+    Circuit c = lowerToNative(algos::tfim(n, 2));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(circuitUnitary(c));
+}
+BENCHMARK(BM_CircuitUnitary)->Arg(3)->Arg(4);
 
 void
 BM_CostGradient(benchmark::State &state)

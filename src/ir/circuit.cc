@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "linalg/embed.hh"
+#include "ir/unitary_kernel.hh"
 #include "util/logging.hh"
 
 namespace quest {
@@ -180,13 +180,11 @@ circuitUnitary(const Circuit &circuit)
 {
     const int n = circuit.numQubits();
     QUEST_ASSERT(n <= 12, "circuitUnitary limited to 12 qubits; use "
-                 "UnitaryBuilder for larger circuits");
-    Matrix u = Matrix::identity(size_t{1} << n);
-    for (const Gate &g : circuit) {
-        if (g.type == GateType::Barrier || g.type == GateType::Measure)
-            continue;
-        u = embedUnitary(gateMatrix(g), g.qubits, n) * u;
-    }
+                 "buildUnitary (sim/unitary_builder.hh) for larger "
+                 "circuits");
+    const size_t dim = size_t{1} << n;
+    Matrix u(dim, dim);
+    unitaryColumns(circuit, 0, dim, u.data().data());
     return u;
 }
 

@@ -99,9 +99,10 @@ class Circuit
 };
 
 /**
- * Full unitary of a circuit by dense embedding (suitable for small
- * circuits; synthesis blocks are at most four qubits). For larger
- * circuits use sim::UnitaryBuilder. Panics above 12 qubits.
+ * Full unitary of a circuit (measurements ignored), built by the row
+ * kernel of ir/unitary_kernel.hh; meant for block unitaries. For
+ * larger circuits use buildUnitary (sim/unitary_builder.hh), which
+ * gives the same bytes. Panics above 12 qubits.
  */
 Matrix circuitUnitary(const Circuit &circuit);
 

@@ -209,7 +209,7 @@ QuestPipeline::run(const Circuit &circuit) const
     }
 
     QuestResult result;
-    Stopwatch partition_watch, synth_watch, anneal_watch;
+    Stopwatch partition_watch, synth_watch, anneal_watch, certify_watch;
 
     // The run-level interruption context: armed only when the caller
     // configured a timeout or a cancel token, in which case every
@@ -265,6 +265,23 @@ QuestPipeline::run(const Circuit &circuit) const
     }
     checkRunBudget(cfg, runBudget, "after STEP 1");
 
+    // One cooperative pool is the whole pipeline's thread budget, for
+    // STEP 2's block synthesis and the Full-mode certify's column
+    // slabs: its parallelFor claims indices from a shared cursor and
+    // the caller participates, so the nested within-synthesizer
+    // parallelFor reuses the same threads instead of oversubscribing
+    // (budget - 1 workers + this thread = budget busy threads total).
+    // An injected cfg.pool extends the same sharing across concurrent
+    // pipeline runs: each run's parallelFor has its own batch cursor,
+    // so runs interleave safely on one pool.
+    const unsigned budget = std::max(
+        1u, cfg.threads == 0 ? ThreadPool::hardwareConcurrency()
+                             : cfg.threads);
+    std::unique_ptr<ThreadPool> owned;
+    if (!cfg.pool)
+        owned = std::make_unique<ThreadPool>(budget - 1);
+    ThreadPool &pool = cfg.pool ? *cfg.pool : *owned;
+
     // ---- STEP 2: approximate synthesis per block (parallel, with a
     // cache so identical block unitaries synthesize once). ------------
     {
@@ -297,23 +314,6 @@ QuestPipeline::run(const Circuit &circuit) const
             for (size_t b = 0; b < num_blocks; ++b)
                 if (canonical[b] == b)
                     work.push_back(b);
-
-            // One cooperative pool is the whole pipeline's thread
-            // budget: its parallelFor claims indices from a shared
-            // cursor and the caller participates, so the nested
-            // within-synthesizer parallelFor reuses the same threads
-            // instead of oversubscribing (budget - 1 workers + this
-            // thread = budget busy threads total). An injected
-            // cfg.pool extends the same sharing across concurrent
-            // pipeline runs: each run's parallelFor has its own
-            // batch cursor, so runs interleave safely on one pool.
-            const unsigned budget = std::max(
-                1u, cfg.threads == 0 ? ThreadPool::hardwareConcurrency()
-                                     : cfg.threads);
-            std::unique_ptr<ThreadPool> owned;
-            if (!cfg.pool)
-                owned = std::make_unique<ThreadPool>(budget - 1);
-            ThreadPool &pool = cfg.pool ? *cfg.pool : *owned;
 
             SynthConfig synth_cfg = cfg.synth;
             if (cfg.verify)
@@ -603,6 +603,7 @@ QuestPipeline::run(const Circuit &circuit) const
     // nothing below this comment may touch src/sim in that mode).
     {
         QUEST_TRACE_SCOPE("quest.certify");
+        ScopedTimer timer(certify_watch);
         result.selectionMode = cfg.selectionMode;
         BoundCertificate &cert = result.certificate;
         cert.mode = cfg.selectionMode;
@@ -617,7 +618,11 @@ QuestPipeline::run(const Circuit &circuit) const
         cert.outputEstimate = outputDistanceEstimate(cert.maxBound);
 
         if (cfg.selectionMode == SelectionMode::Full) {
-            const Matrix original_u = buildUnitary(result.original);
+            // Each build fans its column slabs out on the run's pool.
+            // Two dense matrices are live, original_u and the
+            // sample's, plus one slab buffer per busy thread while a
+            // sample builds (32 / 2^n of a matrix each).
+            const Matrix original_u = buildUnitary(result.original, &pool);
             for (ApproxSample &s : result.samples) {
                 if (runBudget.exhausted()) {
                     // Degrade: remaining samples stay unmeasured (the
@@ -625,8 +630,8 @@ QuestPipeline::run(const Circuit &circuit) const
                     checkRunBudget(cfg, runBudget, "during certify");
                     break;
                 }
-                s.measuredDistance =
-                    hsDistance(original_u, buildUnitary(s.circuit));
+                s.measuredDistance = hsDistance(
+                    original_u, buildUnitary(s.circuit, &pool));
                 cert.measuredSamples++;
                 cert.maxMeasured =
                     std::max(cert.maxMeasured, s.measuredDistance);
@@ -644,6 +649,7 @@ QuestPipeline::run(const Circuit &circuit) const
     result.partitionSeconds = partition_watch.seconds();
     result.synthesisSeconds = synth_watch.seconds();
     result.annealSeconds = anneal_watch.seconds();
+    result.certifySeconds = certify_watch.seconds();
     obs::MetricsRegistry::global().gauge(names::kMetricSamples).set(
         static_cast<int64_t>(result.samples.size()));
     return result;

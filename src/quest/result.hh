@@ -141,6 +141,9 @@ struct QuestResult
     double partitionSeconds = 0.0;
     double synthesisSeconds = 0.0;
     double annealSeconds = 0.0;
+    /** The quest.certify block: the bound certificate, plus in Full
+     *  mode the dense builds that measure every sample. */
+    double certifySeconds = 0.0;
 
     /** Lowest CNOT count among the selected samples. */
     size_t minSampleCnots() const;

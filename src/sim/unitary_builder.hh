@@ -1,11 +1,15 @@
 /**
  * @file
- * Fast full-circuit unitary construction.
+ * Full-circuit unitary construction for ground-truth unitaries and
+ * the Full-mode certify (the Fig. 7 bound validation).
  *
- * Applies gates in place to the rows of an identity matrix instead of
- * forming embedded 2^n x 2^n gate matrices, giving O(2^k N^2) per
- * k-qubit gate. Used for ground-truth unitaries and the Fig. 7 bound
- * validation on mid-size circuits.
+ * Gates are applied in place to the rows of identity columns by the
+ * row kernel of ir/unitary_kernel.hh, O(2^k N^2) per k-qubit gate,
+ * giving the same bytes as circuitUnitary. The pooled overload
+ * splits the columns into 32-column slabs and builds each in a
+ * private contiguous buffer on one pool thread; since every column
+ * is built on its own, the result is bit-identical to the serial
+ * build for any thread count.
  */
 
 #ifndef QUEST_SIM_UNITARY_BUILDER_HH
@@ -16,11 +20,23 @@
 
 namespace quest {
 
+class ThreadPool;
+
 /**
  * Compute the unitary of a circuit (measurements ignored). Panics
  * above 14 qubits — the dense matrix would not fit in memory.
  */
 Matrix buildUnitary(const Circuit &circuit);
+
+/**
+ * buildUnitary on @p pool's threads (null: serial). From 6 qubits up
+ * (two slabs or more), the slabs are claimed through the pool's
+ * cooperative parallelFor, so the caller builds them all itself when
+ * the workers are busy. Beside the result it holds at most
+ * pool->size() + 1 slab buffers, each 32 / 2^n of a matrix (an
+ * eighth at 8 qubits, a 512th at 14).
+ */
+Matrix buildUnitary(const Circuit &circuit, ThreadPool *pool);
 
 } // namespace quest
 

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <numbers>
 #include <span>
 
@@ -124,6 +125,70 @@ TEST(Determinism, SeedChangesTheRun)
                               b.blockApprox[blk][k].distance;
     }
     EXPECT_TRUE(any_difference);
+}
+
+// ---------------------------------------------------------------------
+// Full-mode certify pins: each sample's measured full-circuit HS
+// distance, the certificate's maximum and its sample count must not
+// depend on the thread budget, which certify now spends on column
+// slabs. Captured at commit 8dc52c2 (one serial builder) by running
+// CertifyIndependentOfThreadCount with empty pin rows and copying the
+// "%a" values its failures printed; the same at threads 1, 2 and 4.
+
+/** Up to tinyConfig().maxSamples measured distances. */
+struct CertifyPin
+{
+    const char *name;
+    Circuit (*make)();
+    int samples;
+    double measured[3];
+    double maxMeasured;
+};
+
+const CertifyPin kCertifyPins[] = {
+    {"tfim_4", [] { return algos::tfim(4, 3); }, 1,
+     {0x1.26d0bc045652p-2}, 0x1.26d0bc045652p-2},
+    {"adder_4", [] { return algos::adder(4); }, 1, {0x1p-26}, 0x1p-26},
+    {"tfim_7", [] { return algos::tfim(7, 2); }, 2,
+     {0x1.637be5b75d0bcp-2, 0x1.63a401ebf2ad3p-2},
+     0x1.63a401ebf2ad3p-2},
+    {"adder_6", [] { return algos::adder(6); }, 2,
+     {0x1.0ac137b4748a1p-1, 0x1.87de2a6aeab76p-2},
+     0x1.0ac137b4748a1p-1},
+    {"adder_8", [] { return algos::adder(8); }, 3,
+     {0x1.0ac137b47481bp-1, 0x1.0ac137b474ca5p-1, 0x1.87de2a6aeacd4p-2},
+     0x1.0ac137b474ca5p-1},
+};
+std::string
+hexFloat(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+TEST(Determinism, CertifyIndependentOfThreadCount)
+{
+    for (const CertifyPin &pin : kCertifyPins) {
+        const Circuit circuit = pin.make();
+        for (unsigned threads : {1u, 2u, 4u}) {
+            QuestConfig cfg = tinyConfig();
+            cfg.threads = threads;
+            ASSERT_EQ(cfg.selectionMode, SelectionMode::Full);
+            const QuestResult r = QuestPipeline(cfg).run(circuit);
+            const BoundCertificate &cert = r.certificate;
+            EXPECT_EQ(cert.measuredSamples, pin.samples)
+                << pin.name << " at " << threads << " threads";
+            for (size_t s = 0; s < r.samples.size() && s < 3; ++s) {
+                EXPECT_EQ(r.samples[s].measuredDistance, pin.measured[s])
+                    << pin.name << " sample " << s << " at " << threads
+                    << " threads: " << hexFloat(r.samples[s].measuredDistance);
+            }
+            EXPECT_EQ(cert.maxMeasured, pin.maxMeasured)
+                << pin.name << " at " << threads
+                << " threads: " << hexFloat(cert.maxMeasured);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

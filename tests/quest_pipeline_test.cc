@@ -167,6 +167,9 @@ TEST_F(PipelineFixture, StageTimingsPopulated)
     EXPECT_GT(r.synthesisSeconds, 0.0);
     EXPECT_GE(r.partitionSeconds, 0.0);
     EXPECT_GT(r.annealSeconds, 0.0);
+    // Full mode measures every sample, so certify always takes time.
+    ASSERT_EQ(r.selectionMode, SelectionMode::Full);
+    EXPECT_GT(r.certifySeconds, 0.0);
 }
 
 TEST_F(PipelineFixture, BlockApproxIndexZeroIsOriginal)

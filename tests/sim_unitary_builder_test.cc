@@ -2,17 +2,25 @@
  * @file
  * Cross-checks buildUnitary against the statevector simulator: column
  * j of the circuit unitary must equal the state obtained by applying
- * the circuit to basis state |j>.
+ * the circuit to basis state |j>. Golden digests pin the exact bytes
+ * of buildUnitary, its pooled overload and circuitUnitary.
  */
 
 #include <gtest/gtest.h>
 
 #include <numbers>
+#include <numeric>
 
 #include "algos/algorithms.hh"
 #include "ir/circuit.hh"
+#include "ir/lower.hh"
+#include "obs/metrics.hh"
+#include "resilience/thread_pool.hh"
 #include "sim/statevector.hh"
 #include "sim/unitary_builder.hh"
+#include "util/names.hh"
+#include "util/rng.hh"
+#include "util/sha256.hh"
 
 namespace quest {
 namespace {
@@ -141,15 +149,20 @@ TEST(UnitaryBuilder, WirePermutationRemapsTheUnitary)
     EXPECT_GT(diff, 1.0);
 }
 
+/** SHA-256 of a matrix's raw row-major bytes. */
+std::string
+digestOf(const Matrix &m)
+{
+    return Sha256::hexDigest(m.data().data(),
+                             m.data().size() * sizeof(Complex));
+}
+
 TEST(UnitaryBuilder, AgreesWithCircuitUnitary)
 {
+    // Both builders run the same arithmetic, so they agree byte for
+    // byte (signed zeros included), not just to a tolerance.
     Circuit c = algos::tfim(3, 2);
-    Matrix fast = buildUnitary(c);
-    Matrix slow = circuitUnitary(c);
-    ASSERT_EQ(fast.rows(), slow.rows());
-    for (size_t r = 0; r < fast.rows(); ++r)
-        for (size_t j = 0; j < fast.cols(); ++j)
-            EXPECT_NEAR(std::abs(fast(r, j) - slow(r, j)), 0.0, 1e-11);
+    EXPECT_EQ(digestOf(buildUnitary(c)), digestOf(circuitUnitary(c)));
 }
 
 TEST(UnitaryBuilder, TrotterCircuitMatchesSimulator)
@@ -178,6 +191,237 @@ TEST(UnitaryBuilder, BarrierAndMeasureAreIgnored)
 TEST(UnitaryBuilder, RejectsOversizedCircuits)
 {
     EXPECT_DEATH(buildUnitary(Circuit(15)), "14");
+}
+
+// ---------------------------------------------------------------------
+// Golden digests: SHA-256 of the raw bytes of each pin circuit's
+// unitary. They were captured at commit 8dc52c2, before one row kernel
+// replaced both builders (buildUnitary's per-gate row scratch and
+// circuitUnitary's embed-then-multiply loop), by running
+// MatchesGoldenDigests below with empty strings in kUnitaryPins and
+// copying the digests its failures printed; a Release build with
+// GCC 12.2 at the baseline x86-64 ISA. At that commit buildUnitary
+// and circuitUnitary gave the same digest for every pin of width 8
+// or less (circuitUnitary is not pinned above width 8).
+
+/** Every unitary gate type, in GateType order. */
+constexpr GateType kUnitaryTypes[] = {
+    GateType::U1,  GateType::U2,  GateType::U3,   GateType::RX,
+    GateType::RY,  GateType::RZ,  GateType::X,    GateType::Y,
+    GateType::Z,   GateType::H,   GateType::S,    GateType::Sdg,
+    GateType::T,   GateType::Tdg, GateType::SX,   GateType::CX,
+    GateType::CZ,  GateType::SWAP, GateType::RZZ, GateType::RXX,
+    GateType::RYY, GateType::CRZ, GateType::CP,   GateType::CCX};
+
+/** A gate of type @p type on @p wires with angles drawn from @p rng. */
+Gate
+seededGate(GateType type, std::vector<int> wires, Rng &rng)
+{
+    std::vector<double> params(static_cast<size_t>(gateParamCount(type)));
+    for (double &p : params)
+        p = rng.uniform(-pi, pi);
+    return Gate(type, std::move(wires), std::move(params));
+}
+
+/** U3 with theta 0 and pi: gate matrices with exactly-zero entries
+ *  (theta 0) and entries of order 1e-17 (theta pi). */
+void
+appendZeroEntryU3s(Circuit &c, int q, Rng &rng)
+{
+    c.append(Gate::u3(q, 0.0, rng.uniform(-pi, pi),
+                      rng.uniform(-pi, pi)));
+    c.append(Gate::u3(q, pi, rng.uniform(-pi, pi),
+                      rng.uniform(-pi, pi)));
+}
+
+/** Width 1: every one-qubit type, then a barrier and a measure. */
+Circuit
+everyOneQubitGate()
+{
+    Rng rng(101);
+    Circuit c(1);
+    for (GateType t : kUnitaryTypes)
+        if (gateArity(t) == 1)
+            c.append(seededGate(t, {0}, rng));
+    appendZeroEntryU3s(c, 0, rng);
+    c.append(Gate::barrier({0}));
+    c.append(Gate::x(0));
+    c.append(Gate::y(0));
+    c.append(Gate::measure(0));
+    return c;
+}
+
+/** Every two-qubit type on (a, b) and on (b, a), with a dense
+ *  one-qubit layer before each pair. */
+Circuit
+everyTwoQubitGateBothOrders(int n, int a, int b, uint64_t seed)
+{
+    Rng rng(seed);
+    Circuit c(n);
+    for (GateType t : kUnitaryTypes) {
+        if (gateArity(t) != 2)
+            continue;
+        for (int q = 0; q < n; ++q)
+            c.append(seededGate(GateType::U3, {q}, rng));
+        c.append(seededGate(t, {a, b}, rng));
+        c.append(seededGate(t, {b, a}, rng));
+    }
+    c.append(Gate::barrier({a, b}));
+    appendZeroEntryU3s(c, a, rng);
+    for (int q = 0; q < n; ++q)
+        c.append(Gate::measure(q));
+    return c;
+}
+
+/** CCX in all six wire orders of (0, 1, 2), interleaved with dense
+ *  one-qubit layers, plus SWAP, X, Y and zero-entry U3s. */
+Circuit
+ccxEveryOrder()
+{
+    Rng rng(303);
+    Circuit c(3);
+    const int orders[6][3] = {{0, 1, 2}, {2, 1, 0}, {1, 2, 0},
+                              {0, 2, 1}, {2, 0, 1}, {1, 0, 2}};
+    for (const auto &o : orders) {
+        for (int q = 0; q < 3; ++q)
+            c.append(seededGate(GateType::U3, {q}, rng));
+        c.append(Gate::ccx(o[0], o[1], o[2]));
+    }
+    c.append(Gate::swap(2, 0));
+    c.append(Gate::x(1));
+    c.append(Gate::y(2));
+    appendZeroEntryU3s(c, 1, rng);
+    c.append(Gate::barrier({0, 1, 2}));
+    c.append(Gate::measure(1));
+    return c;
+}
+
+/** Width n: 6n + 6 gates, each of a random unitary type (or a
+ *  zero-entry U3) on random distinct wires in random order, with a
+ *  barrier halfway and a trailing measure. */
+Circuit
+seededCircuit(int n)
+{
+    Rng rng(1000 + static_cast<uint64_t>(n));
+    const auto draw = [&rng](size_t bound) {
+        return static_cast<size_t>(
+            rng.uniformInt(static_cast<uint32_t>(bound)));
+    };
+    std::vector<GateType> types;
+    for (GateType t : kUnitaryTypes)
+        if (gateArity(t) <= n)
+            types.push_back(t);
+    std::vector<int> all(static_cast<size_t>(n));
+    std::iota(all.begin(), all.end(), 0);
+
+    Circuit c(n);
+    const size_t gates = 6 * all.size() + 6;
+    for (size_t i = 0; i < gates; ++i) {
+        if (i == gates / 2)
+            c.append(Gate::barrier(all));
+        const size_t pick = draw(types.size() + 1);
+        if (pick == types.size()) {
+            appendZeroEntryU3s(c, static_cast<int>(draw(all.size())), rng);
+            continue;
+        }
+        // Shuffle, then keep the first gateArity wires.
+        std::vector<int> wires = all;
+        for (size_t k = 0; k < wires.size(); ++k)
+            std::swap(wires[k], wires[k + draw(wires.size() - k)]);
+        wires.resize(static_cast<size_t>(gateArity(types[pick])));
+        c.append(seededGate(types[pick], std::move(wires), rng));
+    }
+    c.append(Gate::measure(static_cast<int>(draw(all.size()))));
+    return c;
+}
+
+struct UnitaryPin
+{
+    const char *name;
+    Circuit (*make)();
+    const char *sha256;
+};
+
+const UnitaryPin kUnitaryPins[] = {
+    {"every_1q_w1", &everyOneQubitGate,
+     "6643f2575873c3b25dbda760c3ff1b0321406e65707bdfb0f8cef9cdbac60d40"},
+    {"every_2q_both_orders_w2",
+     [] { return everyTwoQubitGateBothOrders(2, 0, 1, 202); },
+     "2fe03e9bb5e33b01b159aba3537bd6a67ebad5a5c1cd6f599c28fda07f53effe"},
+    {"ccx_every_order_w3", &ccxEveryOrder,
+     "d83a4e9c40e31280bdae314558dfd9d0d62e687d0f5b8b50ec6184dfedf05422"},
+    {"every_2q_far_wires_w5",
+     [] { return everyTwoQubitGateBothOrders(5, 1, 4, 505); },
+     "2585bbd711f913a51005cbd0eb6855abb3c25be95b69b2b4e87475a684ade7dd"},
+    {"native_tfim_w8", [] { return lowerToNative(algos::tfim(8, 1)); },
+     "5ea42cf4088b16f4f272ca75735e74a4c982e63cfb8be1d5bb9d5cb8504c7974"},
+    {"seeded_w1", [] { return seededCircuit(1); },
+     "ade6a60c44fab6c6d419696adfbc36444fc4dbc661249614d0b4b85d01d3db8c"},
+    {"seeded_w2", [] { return seededCircuit(2); },
+     "3553b5a7e97debdb253656a30514e654d571b0043973a4cd0d955b43dea9818f"},
+    {"seeded_w3", [] { return seededCircuit(3); },
+     "3ff017cb1d53c4ac20c87c0934547779ffec498390465228107dd6e450b146f5"},
+    {"seeded_w4", [] { return seededCircuit(4); },
+     "5ff2ae5ec3a991ff6a117d67b0332061a140afaa60ee7e75c14dcbc4758468ed"},
+    {"seeded_w5", [] { return seededCircuit(5); },
+     "23c81154888af86920d3e9fb741f4e92d7b1aaf45393a5fe4e15c7cfd2017e33"},
+    {"seeded_w6", [] { return seededCircuit(6); },
+     "b4df7f0a5ae7d39e57572d813660e846632706c520036b0a56c9510cc2c46305"},
+    {"seeded_w7", [] { return seededCircuit(7); },
+     "058e3232b62650e0c08642c2681b90c41bd8cda048a1c9912e383528dcb1320f"},
+    {"seeded_w8", [] { return seededCircuit(8); },
+     "90334812ba7fc33c330b01af4cb58ce6aa8d407c4f1a5ffd59aa6980b88ed0c2"},
+    {"seeded_w9", [] { return seededCircuit(9); },
+     "34152da504f9e12c9cb6f2e899ac04161bc13b962b451ff862f1d7fc87726b2b"},
+    {"seeded_w10", [] { return seededCircuit(10); },
+     "59ac60461bc45079cbf390a05a047c3c1e2cf9d9d84f25aa430b81f08b23e725"},
+};
+
+TEST(UnitaryBuilder, MatchesGoldenDigests)
+{
+    for (const UnitaryPin &pin : kUnitaryPins) {
+        const Circuit c = pin.make();
+        EXPECT_EQ(digestOf(buildUnitary(c)), pin.sha256) << pin.name;
+        if (c.numQubits() <= 8) {
+            EXPECT_EQ(digestOf(circuitUnitary(c)), pin.sha256)
+                << pin.name;
+        }
+    }
+}
+
+TEST(UnitaryBuilder, PooledMatchesGoldenDigests)
+{
+    // Pool sizes 0-3 give 1-4 threads: slab counts of 3 do not divide
+    // 2^n, and at small widths 2^n is below the thread count.
+    for (unsigned workers = 0; workers <= 3; ++workers) {
+        ThreadPool pool(workers);
+        for (const UnitaryPin &pin : kUnitaryPins) {
+            EXPECT_EQ(digestOf(buildUnitary(pin.make(), &pool)),
+                      pin.sha256)
+                << pin.name << ", " << workers << " workers";
+        }
+    }
+    for (const UnitaryPin &pin : kUnitaryPins) {
+        EXPECT_EQ(digestOf(buildUnitary(pin.make(), nullptr)), pin.sha256)
+            << pin.name << ", no pool";
+    }
+}
+
+TEST(UnitaryBuilder, CountsOneBuildPerMatrix)
+{
+    // One count per matrix, however many slabs build it; block
+    // unitaries (circuitUnitary) are not counted.
+    auto &builds = obs::MetricsRegistry::global().counter(
+        names::kMetricSimUnitaryBuilds);
+    const Circuit c = seededCircuit(9);
+    ThreadPool pool(3);
+    const uint64_t before = builds.value();
+    buildUnitary(c, &pool);
+    EXPECT_EQ(builds.value(), before + 1);
+    buildUnitary(c);
+    EXPECT_EQ(builds.value(), before + 2);
+    circuitUnitary(c);
+    EXPECT_EQ(builds.value(), before + 2);
 }
 
 } // namespace

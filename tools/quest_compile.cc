@@ -27,7 +27,8 @@
  *   --max-layers <l>   synthesis layer cap (default 16)
  *   --block-size <k>   partition width (default 4)
  *   --seed <s>         master seed (default 99)
- *   --threads <n>      synthesis worker threads (default: all cores)
+ *   --threads <n>      thread budget for synthesis and certify
+ *                      (default: all cores)
  *   --cache-dir <dir>  persistent synthesis cache directory
  *                      (default: $QUEST_CACHE_DIR if set)
  *   --no-cache         disable the persistent cache entirely
@@ -91,7 +92,7 @@ usage()
               << "  --max-layers l   synthesis layer cap\n"
               << "  --block-size k   partition width\n"
               << "  --seed s         master seed\n"
-              << "  --threads n      synthesis worker threads\n"
+              << "  --threads n      synthesis and certify threads\n"
               << "  --cache-dir dir  persistent synthesis cache "
                  "(default: $QUEST_CACHE_DIR)\n"
               << "  --no-cache       disable the persistent cache\n"
@@ -309,7 +310,8 @@ runCompile(int argc, char **argv)
             << "\n"
             << "partition seconds: " << result.partitionSeconds << "\n"
             << "synthesis seconds: " << result.synthesisSeconds << "\n"
-            << "annealing seconds: " << result.annealSeconds << "\n";
+            << "annealing seconds: " << result.annealSeconds << "\n"
+            << "certify seconds: " << result.certifySeconds << "\n";
     if (have_out_dir)
         writeFile(out_dir / "summary.txt", summary.str());
 

@@ -16,7 +16,8 @@
  *                        a restarted daemon replays in-flight jobs
  *   --cache-dir <dir>    shared persistent synthesis cache
  *   --cache-max-bytes n  cache size cap (default 1 GiB)
- *   --threads <n>        shared synthesis thread budget (0 = cores)
+ *   --threads <n>        shared synthesis and certify thread budget
+ *                        (0 = cores)
  *   --executors <n>      concurrently compiled jobs (default 2)
  *   --queue-capacity <n> admission bound; beyond it submits are
  *                        Rejected with exit code 15 (default 64)
@@ -62,7 +63,7 @@ usage()
         << "  --state-dir dir      durable journal + checkpoints\n"
         << "  --cache-dir dir      shared synthesis cache\n"
         << "  --cache-max-bytes n  cache size cap\n"
-        << "  --threads n          synthesis thread budget\n"
+        << "  --threads n          synthesis and certify threads\n"
         << "  --executors n        concurrent jobs\n"
         << "  --queue-capacity n   admission bound\n"
         << "  --io-timeout sec     per-frame I/O deadline "
