@@ -146,25 +146,9 @@ BM_CostGradient(benchmark::State &state)
         v = rng.uniform(-3.0, 3.0);
     std::vector<double> grad;
     for (auto _ : state)
-        benchmark::DoNotOptimize(cost.evaluate(x, &grad));
+        benchmark::DoNotOptimize(cost.evaluate(x, grad));
 }
 BENCHMARK(BM_CostGradient)->Arg(2)->Arg(6)->Arg(12);
-
-void
-BM_HsEval(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    Ansatz a = benchAnsatz(n, 2 * n);
-    Matrix target = buildUnitary(lowerToNative(algos::tfim(n, 2)));
-    HsCost cost(target, a);
-    Rng rng(2);
-    std::vector<double> x(a.paramCount());
-    for (double &v : x)
-        v = rng.uniform(-3.0, 3.0);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(cost.evaluate(x, nullptr));
-}
-BENCHMARK(BM_HsEval)->Arg(2)->Arg(3)->Arg(4);
 
 void
 BM_HsEvalGrad(benchmark::State &state)
@@ -179,7 +163,7 @@ BM_HsEvalGrad(benchmark::State &state)
         v = rng.uniform(-3.0, 3.0);
     std::vector<double> grad;
     for (auto _ : state)
-        benchmark::DoNotOptimize(cost.evaluate(x, &grad));
+        benchmark::DoNotOptimize(cost.evaluate(x, grad));
 }
 BENCHMARK(BM_HsEvalGrad)->Arg(2)->Arg(3)->Arg(4);
 
@@ -272,11 +256,15 @@ msPerCall(int iters, const std::function<void()> &fn)
 /**
  * Instantiation throughput table archived as BENCH_instantiation.json.
  * Every row carries an `engine` column: for the cost rows "scalar" is
- * the one-lane HsCost and "simd" the lane-batched BatchedHsCost, both
+ * the one-lane HsCost (one candidate per pass, each row vectorized
+ * across its columns) and "simd" the lane-batched BatchedHsCost, both
  * measured IN THE SAME RUN so their ratio is machine-consistent (per
- * candidate for the batched cost). instantiate() uses both, so its
- * rows (multistart instantiations per second at 2-5 qubits, and the
- * 4-start serial latency row CI keys on) are all "simd".
+ * candidate for the batched cost). The 24-start instantiate() rows
+ * (multistart instantiations per second at 2-5 qubits) use both
+ * evaluators and are tagged "simd", as is the 4-start serial latency
+ * row CI keys on. The 2- and 4-start rows at 3-4 qubits are the
+ * production call shapes (compile calls and lineage calls); they run
+ * on HsCost end to end and are tagged "scalar".
  *
  * The n=2..4 cases run the specialized fixed-dim kernels; n=5 (dim
  * 32) exercises both evaluators' generic runtime-dim kernels. Its
@@ -304,16 +292,10 @@ instantiationTable()
         for (double &v : x)
             v = rng.uniform(-3.0, 3.0);
         std::vector<double> grad;
-        cost.evaluate(x, &grad);  // warm the workspace
+        cost.evaluate(x, grad);  // warm the workspace
 
         double ms = msPerCall(
-            evals, [&] { benchmark::DoNotOptimize(
-                             cost.evaluate(x, nullptr)); });
-        table.addRow({"hs_eval" + suffix, "scalar", "evals_per_s",
-                      Table::num(1000.0 / ms, 1)});
-        ms = msPerCall(
-            evals, [&] { benchmark::DoNotOptimize(
-                             cost.evaluate(x, &grad)); });
+            evals, [&] { benchmark::DoNotOptimize(cost.evaluate(x, grad)); });
         table.addRow({"hs_eval_grad" + suffix, "scalar", "evals_per_s",
                       Table::num(1000.0 / ms, 1)});
 
@@ -358,6 +340,23 @@ instantiationTable()
         table.addRow({"instantiate" + suffix, "simd",
                       "instantiations_per_sec",
                       Table::num(1000.0 / ms, 2)});
+
+        // The production call shapes: 2 starts per compile call, 4
+        // per lineage call, both at or below the one-lane crossover.
+        if (n == 3 || n == 4) {
+            for (int starts : {2, 4}) {
+                iopts.multistarts = starts;
+                const int reps = (smoke ? 4 : 240) / starts;
+                ms = msPerCall(reps, [&] {
+                    benchmark::DoNotOptimize(
+                        instantiate(target, a, brng, iopts));
+                });
+                table.addRow({"instantiate_" + std::to_string(starts) +
+                                  "starts" + suffix,
+                              "scalar", "instantiations_per_sec",
+                              Table::num(1000.0 / ms, 2)});
+            }
+        }
     }
 
     const int insts = smoke ? 2 : 20;

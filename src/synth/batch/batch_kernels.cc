@@ -35,6 +35,35 @@ resolveIsa()
     return SimdIsa::Scalar;
 }
 
+/** One table kind for @p isa: nullptr when the build or the host
+ *  lacks that ISA; the portable table always exists. */
+template <class Set>
+const Set *
+tableForIsa(SimdIsa isa, size_t dim, const Set *(*avx512)(size_t),
+            const Set *(*avx2)(size_t), const Set &(*scalar)(size_t))
+{
+    QUEST_ASSERT(dim >= 2 && (dim & (dim - 1)) == 0,
+                 "kernel dimension must be a power of two >= 2, got ", dim);
+    switch (isa) {
+      case SimdIsa::Avx512:
+        return util::cpuFeatures().avx512f ? avx512(dim) : nullptr;
+      case SimdIsa::Avx2:
+        return util::cpuFeatures().avx2 ? avx2(dim) : nullptr;
+      case SimdIsa::Scalar:
+        break;
+    }
+    return &scalar(dim);
+}
+
+/** The table the process-wide dispatch selected (never missing). */
+template <class Set>
+const Set &
+dispatched(const Set *k)
+{
+    QUEST_ASSERT(k != nullptr, "dispatched kernel table missing");
+    return *k;
+}
+
 } // namespace
 
 const char *
@@ -61,27 +90,27 @@ activeSimdIsa()
 const BatchKernelSet *
 batchKernelsForIsa(SimdIsa isa, size_t dim)
 {
-    QUEST_ASSERT(dim >= 2 && (dim & (dim - 1)) == 0,
-                 "batched kernel dimension must be a power of two >= 2, got ",
-                 dim);
-    switch (isa) {
-      case SimdIsa::Avx512:
-        return util::cpuFeatures().avx512f ? avx512BatchKernelsFor(dim)
-                                           : nullptr;
-      case SimdIsa::Avx2:
-        return util::cpuFeatures().avx2 ? avx2BatchKernelsFor(dim) : nullptr;
-      case SimdIsa::Scalar:
-        break;
-    }
-    return &scalarBatchKernelsFor(dim);
+    return tableForIsa(isa, dim, avx512BatchKernelsFor, avx2BatchKernelsFor,
+                       scalarBatchKernelsFor);
 }
 
 const BatchKernelSet &
 batchKernelsFor(size_t dim)
 {
-    const BatchKernelSet *k = batchKernelsForIsa(activeSimdIsa(), dim);
-    QUEST_ASSERT(k != nullptr, "dispatched batched kernel table missing");
-    return *k;
+    return dispatched(batchKernelsForIsa(activeSimdIsa(), dim));
+}
+
+const OneLaneKernelSet *
+oneLaneKernelsForIsa(SimdIsa isa, size_t dim)
+{
+    return tableForIsa(isa, dim, avx512OneLaneKernelsFor,
+                       avx2OneLaneKernelsFor, scalarOneLaneKernelsFor);
+}
+
+const OneLaneKernelSet &
+oneLaneKernelsFor(size_t dim)
+{
+    return dispatched(oneLaneKernelsForIsa(activeSimdIsa(), dim));
 }
 
 } // namespace quest::kern::batch

@@ -1,29 +1,38 @@
 /**
  * @file
- * Lane-batched SIMD kernels for the batched instantiation engine.
+ * SIMD kernels for both instantiation evaluators, on split
+ * real/imaginary planes.
  *
- * The scalar kernels (synth/kernels.hh) vectorize poorly inside one
- * evaluation: a block matrix is at most 16x16 and the complex
- * arithmetic serializes on the real/imaginary shuffle. These kernels
- * instead vectorize ACROSS candidates — a fixed batch of kLanes
- * parameter vectors for the same ansatz structure, laid out
- * structure-of-arrays with split real/imaginary planes so element e
- * of lane l lives at [e * kLanes + l]. Every scalar floating-point
- * operation of the reference kernel becomes one vector operation
- * across lanes, with identical per-lane order and associativity, so
- * each lane's result is bit-for-bit the scalar engine's.
+ * The interleaved-complex scalar kernels (synth/kernels.hh) cannot be
+ * vectorized as written: a vector of std::complex mixes real and
+ * imaginary parts, so every complex multiply needs a shuffle, and
+ * GCC's pattern for it contracts into vfmaddsub once FMA is enabled,
+ * even under -ffp-contract=off, breaking bit identity. Both tables
+ * below therefore keep real and imaginary parts in separate planes
+ * and spell every operation with explicit mul/add/sub:
+ *   - BatchKernelSet vectorizes ACROSS candidates: a fixed batch of
+ *     kLanes parameter vectors for the same ansatz structure, laid
+ *     out structure-of-arrays so element e of lane l lives at
+ *     [e * kLanes + l] (BatchedHsCost);
+ *   - OneLaneKernelSet vectorizes ACROSS the columns of one matrix,
+ *     element (r, c) at [r * dim + c] (HsCost).
+ * Every scalar floating-point operation of the reference kernel
+ * becomes one vector operation, with identical per-element order and
+ * associativity, so every lane and every element is bit-for-bit the
+ * reference's. Reductions keep the reference's serial summation
+ * order: only the products are vectorized.
  *
- * Three implementations are compiled behind one function-pointer
- * table: a portable scalar-lane loop (always available, and the only
- * one in a QUEST_SIMD=OFF build), AVX2 (two 4-wide vectors per lane
- * group) and AVX-512 (one 8-wide vector). The memory layout and the
- * per-lane arithmetic are ISA-independent; dispatch picks the widest
- * ISA the host supports, subject to the QUEST_SIMD environment
- * override (util/cpu.hh). Bit-identity across ISAs additionally
- * requires that no multiply-add be contracted into an FMA — the
- * x86-64 baseline scalar build has no FMA — so the SIMD translation
- * units are compiled with -ffp-contract=off and use separate
- * mul/add/sub intrinsics.
+ * Three implementations of each table are compiled: a portable
+ * scalar loop (always available, and the only one in a
+ * QUEST_SIMD=OFF build), AVX2 and AVX-512. The memory layout and the
+ * per-element arithmetic are ISA-independent; dispatch picks the
+ * widest ISA the host supports, subject to the QUEST_SIMD
+ * environment override (util/cpu.hh), for both evaluators alike.
+ * Bit-identity across ISAs additionally requires that no
+ * multiply-add be contracted into an FMA — the x86-64 baseline
+ * scalar build has no FMA — so the kernel translation units are
+ * compiled with -ffp-contract=off and use separate mul/add/sub
+ * intrinsics.
  *
  * Like the scalar table, dims 2/4/8/16 get fully specialized
  * variants via constant propagation and wider dims fall back to
@@ -35,6 +44,8 @@
 #define QUEST_SYNTH_BATCH_BATCH_KERNELS_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 namespace quest::kern::batch {
 
@@ -114,6 +125,76 @@ struct BatchKernelSet
 };
 
 /**
+ * One dimension's one-lane kernel table: the HsCost counterpart of
+ * BatchKernelSet for a single matrix.
+ *
+ * Conventions: every matrix argument is flat row-major dim x dim in
+ * separate real/imaginary planes (element (r, c) at [r * dim + c]);
+ * the kernels vectorize across the columns of a row. @p g is a
+ * row-major 2x2 gate {g00, g01, g10, g11} and @p w2 the four trace
+ * entries, each passed as four interleaved (re, im) pairs — the
+ * memory layout of a Complex[4]. Wire bits, the leading @p dim
+ * argument and the per-element arithmetic are kern::KernelSet's, so
+ * results are bit-identical to it and to every BatchKernelSet lane.
+ */
+struct OneLaneKernelSet
+{
+    /**
+     * dst <- embed(g, wire) * src (row mixing). With dst == src it is
+     * the in-place update of the backward accumulator; otherwise it
+     * is the forward prefix walk's fused slice copy, and the two must
+     * not overlap. Same values either way.
+     */
+    void (*leftU3)(size_t dim, double *dstRe, double *dstIm,
+                   const double *srcRe, const double *srcIm,
+                   const double *g, size_t bit);
+
+    /** m <- embed(CX, control, target) * m (row swaps). */
+    void (*leftCx)(size_t dim, double *mRe, double *mIm, size_t bc,
+                   size_t bt);
+
+    /** dst <- embed(CX, ...) * src (a row gather); src and dst must
+     *  not alias. */
+    void (*leftCxOut)(size_t dim, double *dstRe, double *dstIm,
+                      const double *srcRe, const double *srcIm, size_t bc,
+                      size_t bt);
+
+    /** kern::KernelSet::reduceTraceT, each of the four sums taken in
+     *  its serial (h, c) order. */
+    void (*reduceTraceT)(size_t dim, const double *pRe, const double *pIm,
+                         const double *btRe, const double *btIm, size_t bit,
+                         double *w2);
+
+    /**
+     * Tr(target^dagger U) = sum_e tc[e] * u[e], summed serially over
+     * e: @p tcRe / @p tcIm hold conj(target); writes the trace to
+     * @p tr as one (re, im) pair.
+     */
+    void (*traceTarget)(size_t dim, const double *tcRe, const double *tcIm,
+                        const double *uRe, const double *uIm, double *tr);
+};
+
+/**
+ * Point @p base at the first 64-byte-aligned element of @p v, growing
+ * @p v so at least @p n doubles follow it. Returns true when @p v had
+ * to grow. A 64-byte base keeps every vector load/store within one
+ * cache line; vector<double>'s own data() is only 16-byte aligned.
+ * Plain operator new throughout: the allocation-probe tests override
+ * only the plain operators.
+ */
+inline bool
+fitAligned(std::vector<double> &v, double *&base, size_t n)
+{
+    // +7 doubles of slack so the aligned base still has room.
+    const bool grew = v.size() < n + 7;
+    if (grew)
+        v.resize(n + 7);
+    auto addr = reinterpret_cast<uintptr_t>(v.data());
+    base = v.data() + ((-addr & 63) / sizeof(double));
+    return grew;
+}
+
+/**
  * The batched kernel table for a dim x dim block under the
  * process-wide dispatched ISA (see activeSimdIsa). Call once at
  * cost-object construction and reuse the reference.
@@ -133,6 +214,14 @@ const BatchKernelSet *batchKernelsForIsa(SimdIsa isa, size_t dim);
  * Cached after the first call.
  */
 SimdIsa activeSimdIsa();
+
+/** The one-lane table for a dim x dim block under activeSimdIsa();
+ *  call once at cost-object construction. */
+const OneLaneKernelSet &oneLaneKernelsFor(size_t dim);
+
+/** The one-lane table for a specific ISA, or nullptr when that ISA
+ *  is unavailable (parity-test hook, as batchKernelsForIsa). */
+const OneLaneKernelSet *oneLaneKernelsForIsa(SimdIsa isa, size_t dim);
 
 } // namespace quest::kern::batch
 

@@ -1,13 +1,15 @@
 /**
- * AVX2 instantiation of the batched kernel bodies: two 4-wide
- * __m256d registers cover the 8-lane batch. Compiled with
- * -mavx2 -ffp-contract=off (see src/synth/CMakeLists.txt); the
- * QUEST_BATCH_COMPILE_AVX2 macro is only defined when those flags
- * are in effect, so a build without them (QUEST_SIMD=OFF, non-x86)
- * gets the nullptr stub instead of unbuildable intrinsics.
+ * AVX2 instantiation of the batched and one-lane kernel bodies: two
+ * 4-wide __m256d registers cover the 8-lane batch, and a one-lane
+ * row is processed 4 columns at a time (2 with __m128d for a dim-2
+ * block). Compiled with -mavx2 -ffp-contract=off (see
+ * src/synth/CMakeLists.txt); the QUEST_BATCH_COMPILE_AVX2 macro is
+ * only defined when those flags are in effect, so a build without
+ * them (QUEST_SIMD=OFF, non-x86) gets the nullptr stub instead of
+ * unbuildable intrinsics.
  *
- * Separate mul/add/sub intrinsics, never _mm256_fmadd_pd: each lane
- * must round exactly like the scalar engine's uncontracted
+ * Separate mul/add/sub intrinsics, never _mm256_fmadd_pd: each
+ * element must round exactly like the scalar kernels' uncontracted
  * arithmetic.
  */
 
@@ -15,33 +17,21 @@
 
 #if defined(QUEST_BATCH_COMPILE_AVX2)
 
-#include <immintrin.h>
-
 #include "synth/batch/batch_kernels_impl.hh"
+#include "synth/batch/batch_kernels_x86.hh"
 
 namespace quest::kern::batch {
-
-namespace {
-
-struct VAvx2
-{
-    using Reg = __m256d;
-    static constexpr size_t width = 4;
-    static Reg load(const double *p) { return _mm256_loadu_pd(p); }
-    static void store(double *p, Reg x) { _mm256_storeu_pd(p, x); }
-    static Reg set1(double x) { return _mm256_set1_pd(x); }
-    static Reg zero() { return _mm256_setzero_pd(); }
-    static Reg add(Reg a, Reg b) { return _mm256_add_pd(a, b); }
-    static Reg sub(Reg a, Reg b) { return _mm256_sub_pd(a, b); }
-    static Reg mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
-};
-
-} // namespace
 
 const BatchKernelSet *
 avx2BatchKernelsFor(size_t dim)
 {
     return &impl::tableForDim<VAvx2>(dim);
+}
+
+const OneLaneKernelSet *
+avx2OneLaneKernelsFor(size_t dim)
+{
+    return &impl::laneTableForDim<VSse2, VAvx2, VAvx2>(dim);
 }
 
 } // namespace quest::kern::batch
@@ -52,6 +42,12 @@ namespace quest::kern::batch {
 
 const BatchKernelSet *
 avx2BatchKernelsFor(size_t)
+{
+    return nullptr;
+}
+
+const OneLaneKernelSet *
+avx2OneLaneKernelsFor(size_t)
 {
     return nullptr;
 }

@@ -1,12 +1,14 @@
 /**
- * AVX-512 instantiation of the batched kernel bodies: one 8-wide
- * __m512d register is the whole batch. Compiled with
+ * AVX-512 instantiation of the batched and one-lane kernel bodies:
+ * one 8-wide __m512d register is the whole batch, and a one-lane row
+ * of a dim >= 8 block is processed 8 columns at a time (narrower
+ * rows use the 2- and 4-wide registers). Compiled with
  * -mavx512f -ffp-contract=off (see src/synth/CMakeLists.txt); the
  * QUEST_BATCH_COMPILE_AVX512 macro is only defined when those flags
  * are in effect.
  *
- * Separate mul/add/sub intrinsics, never _mm512_fmadd_pd: each lane
- * must round exactly like the scalar engine's uncontracted
+ * Separate mul/add/sub intrinsics, never _mm512_fmadd_pd: each
+ * element must round exactly like the scalar kernels' uncontracted
  * arithmetic.
  */
 
@@ -17,6 +19,7 @@
 #include <immintrin.h>
 
 #include "synth/batch/batch_kernels_impl.hh"
+#include "synth/batch/batch_kernels_x86.hh"
 
 namespace quest::kern::batch {
 
@@ -43,6 +46,12 @@ avx512BatchKernelsFor(size_t dim)
     return &impl::tableForDim<VAvx512>(dim);
 }
 
+const OneLaneKernelSet *
+avx512OneLaneKernelsFor(size_t dim)
+{
+    return &impl::laneTableForDim<VSse2, VAvx2, VAvx512>(dim);
+}
+
 } // namespace quest::kern::batch
 
 #else // !QUEST_BATCH_COMPILE_AVX512
@@ -51,6 +60,12 @@ namespace quest::kern::batch {
 
 const BatchKernelSet *
 avx512BatchKernelsFor(size_t)
+{
+    return nullptr;
+}
+
+const OneLaneKernelSet *
+avx512OneLaneKernelsFor(size_t)
 {
     return nullptr;
 }

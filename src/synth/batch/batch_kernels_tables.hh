@@ -11,15 +11,18 @@
 
 namespace quest::kern::batch {
 
-/** Portable scalar-lane table; always available. */
+/** Portable scalar tables; always available. */
 const BatchKernelSet &scalarBatchKernelsFor(size_t dim);
+const OneLaneKernelSet &scalarOneLaneKernelsFor(size_t dim);
 
-/** AVX2 table, or nullptr when compiled out (QUEST_SIMD=OFF or a
+/** AVX2 tables, or nullptr when compiled out (QUEST_SIMD=OFF or a
  *  non-x86 target). */
 const BatchKernelSet *avx2BatchKernelsFor(size_t dim);
+const OneLaneKernelSet *avx2OneLaneKernelsFor(size_t dim);
 
-/** AVX-512 table, or nullptr when compiled out. */
+/** AVX-512 tables, or nullptr when compiled out. */
 const BatchKernelSet *avx512BatchKernelsFor(size_t dim);
+const OneLaneKernelSet *avx512OneLaneKernelsFor(size_t dim);
 
 } // namespace quest::kern::batch
 

@@ -15,7 +15,7 @@ namespace {
 using kern::cmul;
 
 /** Evaluate calls that reused the workspace without allocating —
- *  same counter as the scalar engine's warm-workspace path. */
+ *  same counter as HsCost's warm-workspace path. */
 obs::Counter &
 workspaceReuseCounter()
 {
@@ -31,28 +31,19 @@ BatchedHsWorkspace::ensure(size_t dim, size_t opCount, size_t u3Count)
 {
     constexpr size_t L = kern::batch::kLanes;
     const size_t ddL = dim * dim * L;
-    bool grew = false;
-    auto fit = [&grew](std::vector<double> &v, double *&base, size_t n) {
-        // +7 doubles of slack so the aligned base still has room.
-        if (v.size() < n + 7) {
-            v.resize(n + 7);
-            grew = true;
-        }
-        auto addr = reinterpret_cast<uintptr_t>(v.data());
-        base = v.data() + ((-addr & 63) / sizeof(double));
-    };
-    fit(prefixRe, preRe, (opCount + 1) * ddL);
-    fit(prefixIm, preIm, (opCount + 1) * ddL);
-    fit(backwardRe, bwdRe, ddL);
-    fit(backwardIm, bwdIm, ddL);
-    fit(u3Re, gRe, u3Count * 16 * L);
-    fit(u3Im, gIm, u3Count * 16 * L);
-    fit(gtRe, tgRe, 4 * L);
-    fit(gtIm, tgIm, 4 * L);
-    fit(w2Re, wRe, 4 * L);
-    fit(w2Im, wIm, 4 * L);
-    fit(trRe, tRe, L);
-    fit(trIm, tIm, L);
+    using kern::batch::fitAligned;
+    bool grew = fitAligned(prefixRe, preRe, (opCount + 1) * ddL);
+    grew |= fitAligned(prefixIm, preIm, (opCount + 1) * ddL);
+    grew |= fitAligned(backwardRe, bwdRe, ddL);
+    grew |= fitAligned(backwardIm, bwdIm, ddL);
+    grew |= fitAligned(u3Re, gRe, u3Count * 16 * L);
+    grew |= fitAligned(u3Im, gIm, u3Count * 16 * L);
+    grew |= fitAligned(gtRe, tgRe, 4 * L);
+    grew |= fitAligned(gtIm, tgIm, 4 * L);
+    grew |= fitAligned(w2Re, wRe, 4 * L);
+    grew |= fitAligned(w2Im, wIm, 4 * L);
+    grew |= fitAligned(trRe, tRe, L);
+    grew |= fitAligned(trIm, tIm, L);
     if (grew)
         ++allocations;
     else
@@ -116,7 +107,7 @@ BatchedHsCost::evaluateBatch(
     // Forward pass, all lanes at once: prefix slice j holds
     // op_{j-1} ... op_0 per lane (slice 0 is the identity). U3
     // entries and derivatives come from one scalar u3WithDerivatives
-    // per (op, lane) — the exact libm values the scalar engine sees —
+    // per (op, lane) — the exact libm values HsCost sees —
     // fanned into the SoA gate cache.
     double *preRe = ws.preRe;
     double *preIm = ws.preIm;
@@ -203,7 +194,7 @@ BatchedHsCost::evaluateBatch(
                 if (!xs[l])
                     continue;
                 // Reconstruct per-lane complexes and evaluate the
-                // scalar engine's expression verbatim:
+                // one-lane evaluator's expression verbatim:
                 // Tr(W * embed(d)) = sum_ac w2[a][c] d(c, a).
                 const Complex w0(ws.wRe[0 * L + l], ws.wIm[0 * L + l]);
                 const Complex w1(ws.wRe[1 * L + l], ws.wIm[1 * L + l]);

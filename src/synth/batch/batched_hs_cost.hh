@@ -5,19 +5,18 @@
  * of the SAME ansatz against the SAME target.
  *
  * The op plan, the target conjugate and the loop structure are
- * exactly the scalar HsCost's (hs_cost.cc); the matrices are laid
+ * exactly the one-lane HsCost's (hs_cost.cc); the matrices are laid
  * out structure-of-arrays (batch_kernels.hh) and every scalar
  * floating-point operation becomes one vector operation across
  * lanes. Trigonometry stays scalar: u3WithDerivatives runs once per
  * (op, lane) and is fanned into the SoA gate cache, so the libm
- * values each lane sees are the ones the scalar engine would
- * compute. The result is bit-for-bit parity per lane, which the
- * multistart driver (instantiater.cc) relies on when it switches
- * between this and HsCost, and which the kernel tests pin.
+ * values each lane sees are the ones HsCost computes. The result is
+ * bit-for-bit parity per lane, which the multistart driver
+ * (instantiater.cc) relies on when it switches between this and
+ * HsCost, and which the kernel tests pin.
  *
- * Only the gradient path exists: L-BFGS evaluates the gradient at
- * every point it visits, so a batched value-only path would have no
- * caller.
+ * Only the gradient path exists, as in HsCost: L-BFGS evaluates the
+ * gradient at every point it visits.
  */
 
 #ifndef QUEST_SYNTH_BATCH_BATCHED_HS_COST_HH
@@ -50,16 +49,9 @@ struct BatchedHsWorkspace
     std::vector<double> w2Re, w2Im;  //!< trace contraction (4 entries)
     std::vector<double> trRe, trIm;  //!< per-lane trace accumulators
 
-    /**
-     * 64-byte-aligned base of each buffer above, set by ensure(). One
-     * lane group is kLanes doubles = one cache line, so an aligned
-     * base keeps every vector load/store within a single line;
-     * vector<double>'s own data() is only 16-byte aligned, which
-     * would split EVERY 64-byte access across two lines. The vectors
-     * over-allocate by 7 doubles and these point at the first aligned
-     * element (plain operator new throughout — the allocation-probe
-     * tests override only the plain operators).
-     */
+    /** 64-byte-aligned base of each buffer above, set by ensure()
+     *  (see kern::batch::fitAligned): one lane group is kLanes
+     *  doubles, exactly one cache line. */
     double *preRe = nullptr, *preIm = nullptr;
     double *bwdRe = nullptr, *bwdIm = nullptr;
     double *gRe = nullptr, *gIm = nullptr;

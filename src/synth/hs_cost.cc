@@ -1,9 +1,9 @@
 #include "synth/hs_cost.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/metrics.hh"
+#include "synth/kernels.hh"
 #include "util/logging.hh"
 #include "util/names.hh"
 
@@ -12,14 +12,6 @@ namespace quest {
 namespace {
 
 using kern::cmul;
-
-void
-setIdentity(Complex *QUEST_RESTRICT m, size_t dim)
-{
-    std::fill(m, m + dim * dim, Complex(0.0, 0.0));
-    for (size_t i = 0; i < dim; ++i)
-        m[i * dim + i] = Complex(1.0, 0.0);
-}
 
 /** Evaluate calls that reused the workspace without allocating. */
 obs::Counter &
@@ -30,23 +22,35 @@ workspaceReuseCounter()
     return c;
 }
 
+/** A Complex array as the interleaved (re, im) doubles the one-lane
+ *  kernels take; std::complex is layout-compatible with double[2]. */
+const double *
+interleaved(const Complex *z)
+{
+    return reinterpret_cast<const double *>(z);
+}
+
+double *
+interleaved(Complex *z)
+{
+    return reinterpret_cast<double *>(z);
+}
+
 } // namespace
 
 bool
 HsWorkspace::ensure(size_t dim, size_t opCount, size_t u3Count)
 {
     const size_t dd = dim * dim;
-    bool grew = false;
-    auto fit = [&grew](std::vector<Complex> &v, size_t n) {
-        if (v.size() < n) {
-            v.resize(n);
-            grew = true;
-        }
-    };
-    fit(prefix, (opCount + 1) * dd);
-    fit(backward, dd);
-    fit(scratch, dd);
-    fit(u3Terms, u3Count * 16);
+    using kern::batch::fitAligned;
+    bool grew = fitAligned(prefixRe, preRe, (opCount + 1) * dd);
+    grew |= fitAligned(prefixIm, preIm, (opCount + 1) * dd);
+    grew |= fitAligned(backwardRe, bwdRe, dd);
+    grew |= fitAligned(backwardIm, bwdIm, dd);
+    if (u3Terms.size() < u3Count * 16) {
+        u3Terms.resize(u3Count * 16);
+        grew = true;
+    }
     if (grew)
         ++allocations;
     else
@@ -55,7 +59,6 @@ HsWorkspace::ensure(size_t dim, size_t opCount, size_t u3Count)
 }
 
 HsCost::HsCost(const Matrix &target, const Ansatz &ansatz)
-    : target(target), ansatz(ansatz)
 {
     QUEST_ASSERT(target.isSquare(), "target must be square");
     QUEST_ASSERT(target.rows() == (size_t{1} << ansatz.numQubits()),
@@ -63,93 +66,75 @@ HsCost::HsCost(const Matrix &target, const Ansatz &ansatz)
     dim = target.rows();
     const double n = static_cast<double>(dim);
     dimSquared = n * n;
-    kernels = &kern::kernelsForDim(dim);
+    kernels = &kern::batch::oneLaneKernelsFor(dim);
 
     // Precompile the op sequence: wire bits and parameter bases are
     // structural, so resolve them once instead of per evaluation. The
     // plan compiler is shared with the batched engine (op_plan.hh) so
     // both walk the same sequence.
-    synth::CompiledPlan compiled = synth::compilePlan(ansatz);
-    plan = std::move(compiled.ops);
-    u3Count = compiled.u3Count;
-    nParams = compiled.nParams;
+    plan = synth::compilePlan(ansatz);
 
-    targetConj.resize(dim * dim);
+    tcRe.resize(dim * dim);
+    tcIm.resize(dim * dim);
     const Complex *t = target.data().data();
-    for (size_t i = 0; i < dim * dim; ++i)
-        targetConj[i] = std::conj(t[i]);
+    for (size_t i = 0; i < dim * dim; ++i) {
+        const Complex c = std::conj(t[i]);
+        tcRe[i] = c.real();
+        tcIm[i] = c.imag();
+    }
 
     // Warm the arena now so every evaluate() is allocation-free.
-    ws.ensure(dim, plan.size(), u3Count);
-}
-
-Complex
-HsCost::traceAgainstTarget(const Complex *QUEST_RESTRICT u) const
-{
-    // Tr(target^dagger U) = sum_i conj(target_i) * u_i elementwise.
-    const Complex *QUEST_RESTRICT tc = targetConj.data();
-    Complex tr(0.0, 0.0);
-    const size_t dd = dim * dim;
-    for (size_t i = 0; i < dd; ++i)
-        tr += cmul(tc[i], u[i]);
-    return tr;
+    ws.ensure(dim, plan.ops.size(), plan.u3Count);
 }
 
 double
 HsCost::evaluate(const std::vector<double> &params,
-                 std::vector<double> *grad) const
+                 std::vector<double> &grad)
 {
-    QUEST_ASSERT(static_cast<int>(params.size()) == nParams,
+    QUEST_ASSERT(static_cast<int>(params.size()) == plan.nParams,
                  "parameter count mismatch");
-    const size_t count = plan.size();
+    const size_t count = plan.ops.size();
     const size_t dd = dim * dim;
-    const kern::KernelSet &k = *kernels;
+    const kern::batch::OneLaneKernelSet &k = *kernels;
 
-    if (!ws.ensure(dim, count, u3Count))
+    if (!ws.ensure(dim, count, plan.u3Count))
         workspaceReuseCounter().increment();
 
-    if (!grad) {
-        Complex *QUEST_RESTRICT u = ws.scratch.data();
-        setIdentity(u, dim);
-        Complex g[4];
-        for (const synth::OpPlan &op : plan) {
-            if (op.isCx) {
-                k.leftCx(dim, u, op.bit, op.bit2);
-            } else {
-                makeU3Entries(params[op.base], params[op.base + 1],
-                              params[op.base + 2], g);
-                k.leftU3(dim, u, g, op.bit);
-            }
-        }
-        return 1.0 - std::norm(traceAgainstTarget(u)) / dimSquared;
-    }
-
     // Forward pass: prefix slice j holds op_{j-1} ... op_0 (slice 0 is
-    // the identity). Each U3's entries and all three derivatives are
-    // cached from one shared trig evaluation for the backward pass.
-    Complex *QUEST_RESTRICT pre = ws.prefix.data();
-    Complex *QUEST_RESTRICT terms = ws.u3Terms.data();
-    setIdentity(pre, dim);
+    // the identity), each written straight from slice j by a fused
+    // out-of-place kernel. Each U3's entries and all three
+    // derivatives are cached from one shared trig evaluation for the
+    // backward pass.
+    double *preRe = ws.preRe;
+    double *preIm = ws.preIm;
+    Complex *terms = ws.u3Terms.data();
+    std::fill(preRe, preRe + dd, 0.0);
+    std::fill(preIm, preIm + dd, 0.0);
+    for (size_t i = 0; i < dim; ++i)
+        preRe[i * dim + i] = 1.0;
     {
         size_t ui = 0;
         for (size_t j = 0; j < count; ++j) {
-            const synth::OpPlan &op = plan[j];
-            Complex *cur = pre + j * dd;
-            Complex *nxt = cur + dd;
-            std::copy(cur, cur + dd, nxt);
+            const synth::OpPlan &op = plan.ops[j];
+            double *curRe = preRe + j * dd;
+            double *curIm = preIm + j * dd;
             if (op.isCx) {
-                k.leftCx(dim, nxt, op.bit, op.bit2);
-            } else {
-                Complex *slot = terms + ui * 16;
-                u3WithDerivatives(params[op.base], params[op.base + 1],
-                                  params[op.base + 2], slot,
-                                  reinterpret_cast<Complex(*)[4]>(slot + 4));
-                k.leftU3(dim, nxt, slot, op.bit);
-                ++ui;
+                k.leftCxOut(dim, curRe + dd, curIm + dd, curRe, curIm,
+                            op.bit, op.bit2);
+                continue;
             }
+            Complex *slot = terms + ui * 16;
+            u3WithDerivatives(params[op.base], params[op.base + 1],
+                              params[op.base + 2], slot,
+                              reinterpret_cast<Complex(*)[4]>(slot + 4));
+            k.leftU3(dim, curRe + dd, curIm + dd, curRe, curIm,
+                     interleaved(slot), op.bit);
+            ++ui;
         }
     }
-    const Complex tr = traceAgainstTarget(pre + count * dd);
+    Complex tr;
+    k.traceTarget(dim, tcRe.data(), tcIm.data(), preRe + count * dd,
+                  preIm + count * dd, interleaved(&tr));
 
     // Backward pass, transposed: bt = B^T with
     // B = target^dagger * op_{L-1} ... op_{j+1}, so B's strided
@@ -157,40 +142,37 @@ HsCost::evaluate(const std::vector<double> &params,
     // row-mixing kernel. Initially bt = (target^dagger)^T =
     // conj(target); appending op j on B's right (B <- B * embed(g))
     // is bt <- embed(g)^T * bt, i.e. leftU3 with the transposed gate.
-    grad->resize(static_cast<size_t>(nParams));
-    Complex *QUEST_RESTRICT bt = ws.backward.data();
-    std::copy(targetConj.begin(), targetConj.end(), bt);
+    grad.resize(static_cast<size_t>(plan.nParams));
+    double *btRe = ws.bwdRe;
+    double *btIm = ws.bwdIm;
+    std::copy(tcRe.begin(), tcRe.end(), btRe);
+    std::copy(tcIm.begin(), tcIm.end(), btIm);
     const Complex trc = std::conj(tr);
     Complex w2[4];
-    size_t ui = u3Count;
+    size_t ui = plan.u3Count;
     for (size_t j = count; j-- > 0;) {
-        const synth::OpPlan &op = plan[j];
+        const synth::OpPlan &op = plan.ops[j];
         if (op.isCx) {
             // embed(CX)^T = embed(CX): the same row-swap kernel.
-            k.leftCx(dim, bt, op.bit, op.bit2);
+            k.leftCx(dim, btRe, btIm, op.bit, op.bit2);
             continue;
         }
         const Complex *slot = terms + --ui * 16;
-        k.reduceTraceT(dim, pre + j * dd, bt, op.bit, w2);
+        k.reduceTraceT(dim, preRe + j * dd, preIm + j * dd, btRe, btIm,
+                       op.bit, interleaved(w2));
         for (int which = 0; which < 3; ++which) {
             const Complex *d = slot + 4 + which * 4;
             // Tr(W * embed(d)) = sum_ac w2[a][c] d(c, a).
             const Complex dtr = cmul(w2[0], d[0]) + cmul(w2[1], d[2]) +
                                 cmul(w2[2], d[1]) + cmul(w2[3], d[3]);
-            (*grad)[op.base + which] =
+            grad[op.base + which] =
                 -2.0 * cmul(trc, dtr).real() / dimSquared;
         }
         const Complex gT[4] = {slot[0], slot[2], slot[1], slot[3]};
-        k.leftU3(dim, bt, gT, op.bit);
+        k.leftU3(dim, btRe, btIm, btRe, btIm, interleaved(gT), op.bit);
     }
 
     return 1.0 - std::norm(tr) / dimSquared;
-}
-
-double
-HsCost::distance(const std::vector<double> &params) const
-{
-    return std::sqrt(std::max(0.0, evaluate(params, nullptr)));
 }
 
 } // namespace quest

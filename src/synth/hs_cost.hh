@@ -4,12 +4,16 @@
  *
  * This is the innermost loop of numerical instantiation: L-BFGS calls
  * evaluate() thousands of times per multistart. The implementation is
- * built for that: a reusable flat workspace (HsWorkspace) sized once
- * at construction, per-dimension unrolled kernels dispatched once
- * (synth/kernels.hh), and a per-op cache of U3 entries + derivatives
- * computed from a single trig evaluation — so evaluate() performs no
- * heap allocation in steady state, on both the value-only and the
- * gradient path.
+ * built for that: a reusable workspace (HsWorkspace) sized once at
+ * construction, holding every matrix as split real/imaginary planes
+ * so the one-lane SIMD kernels (synth/batch/batch_kernels.hh) can
+ * vectorize each row across its columns, dispatched once per cost
+ * object; and a per-op cache of U3 entries + derivatives computed
+ * from a single trig evaluation. evaluate() performs no heap
+ * allocation in steady state.
+ *
+ * Only the gradient path exists: L-BFGS evaluates the gradient at
+ * every point it visits, as in BatchedHsCost.
  */
 
 #ifndef QUEST_SYNTH_HS_COST_HH
@@ -20,24 +24,28 @@
 
 #include "linalg/matrix.hh"
 #include "synth/ansatz.hh"
-#include "synth/kernels.hh"
+#include "synth/batch/batch_kernels.hh"
 #include "synth/op_plan.hh"
 
 namespace quest {
 
 /**
- * Flat scratch arena reused across evaluate() calls: the forward
- * prefix stack, the (transposed) backward accumulator, a value-only
- * running product, and the per-op U3 entry/derivative cache. All
- * buffers are sized once; ensure() only grows, and steady-state calls
- * never touch the allocator.
+ * Scratch arena reused across evaluate() calls: the forward prefix
+ * stack and the (transposed) backward accumulator, as split
+ * real/imaginary planes with 64-byte-aligned bases, plus the per-op
+ * U3 entry/derivative cache. All buffers are sized once; ensure()
+ * only grows, and steady-state calls never touch the allocator.
  */
 struct HsWorkspace
 {
-    std::vector<Complex> prefix;    //!< (opCount + 1) stacked dim*dim slices
-    std::vector<Complex> backward;  //!< transposed suffix accumulator
-    std::vector<Complex> scratch;   //!< value-only running product
-    std::vector<Complex> u3Terms;   //!< per U3 op: 4 entries + 3*4 derivatives
+    std::vector<double> prefixRe, prefixIm;      //!< (opCount + 1) slices
+    std::vector<double> backwardRe, backwardIm;  //!< transposed suffix
+    std::vector<Complex> u3Terms;  //!< per U3 op: 4 entries + 3*4 derivs
+
+    /** Aligned bases of the planes above (see kern::batch::fitAligned),
+     *  set by ensure(). */
+    double *preRe = nullptr, *preIm = nullptr;
+    double *bwdRe = nullptr, *bwdIm = nullptr;
 
     uint64_t allocations = 0;  //!< ensure() calls that grew a buffer
     uint64_t reuses = 0;       //!< ensure() calls served without growth
@@ -53,39 +61,36 @@ struct HsWorkspace
  * minimizes the distance; the gradient is computed analytically from
  * the ansatz parameter derivatives.
  *
- * Not safe for concurrent evaluate() calls on one instance: the
- * internal workspace is reused across calls. instantiate() builds
- * one per call for its last lanes (see synth/instantiater.cc).
+ * One lane: its cost follows its own matrix size, not a batch width.
+ * Bit-identical to every lane of BatchedHsCost on every pair of ISAs,
+ * which the multistart driver relies on when it switches between the
+ * two (see synth/instantiater.cc). Not safe for concurrent evaluate()
+ * calls on one instance: the workspace is reused across calls.
  */
 class HsCost
 {
   public:
     HsCost(const Matrix &target, const Ansatz &ansatz);
 
-    /** Objective value; fills @p grad (same size as params) if
-     *  non-null. Allocation-free after the constructor. */
+    /** Objective value; fills @p grad (resized to the parameter
+     *  count). Allocation-free after the constructor. */
     double evaluate(const std::vector<double> &params,
-                    std::vector<double> *grad) const;
-
-    /** HS distance sqrt(max(0, f)) at the given parameters. */
-    double distance(const std::vector<double> &params) const;
+                    std::vector<double> &grad);
 
     /** The reusable arena (test/diagnostic hook). */
     const HsWorkspace &workspace() const { return ws; }
 
-  private:
-    Complex traceAgainstTarget(const Complex *u) const;
+    /** The kernel table in use (test/diagnostic hook); defaults to
+     *  the process-wide dispatch, overridable for parity tests. */
+    void useKernels(const kern::batch::OneLaneKernelSet &k) { kernels = &k; }
 
-    const Matrix &target;
-    const Ansatz &ansatz;
+  private:
     double dimSquared;
     size_t dim;
-    size_t u3Count;
-    int nParams;
-    const kern::KernelSet *kernels;
-    std::vector<synth::OpPlan> plan;
-    std::vector<Complex> targetConj;  //!< conj(target): trace + backward init
-    mutable HsWorkspace ws;
+    const kern::batch::OneLaneKernelSet *kernels;
+    synth::CompiledPlan plan;
+    std::vector<double> tcRe, tcIm;  //!< conj(target): trace + backward init
+    HsWorkspace ws;
 };
 
 } // namespace quest

@@ -50,13 +50,16 @@ dispatchCounter(kern::batch::SimdIsa isa)
  * pending starts. Two evaluators serve the ticks:
  *   - BatchedHsCost, one SIMD pass over all kLanes lanes, while more
  *     than kSingleLanes lanes are live or starts are still pending;
- *   - HsCost, one lane at a time, for the last kSingleLanes lanes. A
- *     batched pass costs the same however many lanes are live, so a
- *     mostly idle one loses to per-lane evaluation; every call with
- *     at most kSingleLanes starts runs on HsCost end to end.
- * Both are built on first use. The evaluators agree bit for bit per
- * lane (pinned by the kernel parity tests), so which one served a
- * tick never shows in a result.
+ *   - HsCost, one lane at a time, for the last kSingleLanes lanes;
+ *     every call with at most kSingleLanes starts runs on HsCost end
+ *     to end.
+ * A batched pass costs about the same however many lanes are live.
+ * Measured per candidate, a full batched pass beats the column-
+ * vectorized HsCost only 1.3-1.8x at 2-5 qubits (EXPERIMENTS.md), so
+ * per-lane evaluation is cheaper below about 4.4-6.0 live lanes, and
+ * 4 is under the crossover at every width. Both evaluators are built
+ * on first use. They agree bit for bit per lane (pinned by the kernel
+ * parity tests), so which one served a tick never shows in a result.
  */
 InstantiationResult
 instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
@@ -80,7 +83,7 @@ instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
 
     constexpr double pi = std::numbers::pi;
     constexpr size_t L = synth::BatchedHsCost::kLanes;
-    constexpr size_t kSingleLanes = 2;
+    constexpr size_t kSingleLanes = 4;
     const int n_params = ansatz.paramCount();
     const int n_starts = std::max(1, options.multistarts);
 
@@ -180,7 +183,7 @@ instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
                 QUEST_BOUNDED_LOOP("at most kSingleLanes lanes");
                 const size_t lane = live[k];
                 fBuf[lane] = single->evaluate(machines[lane]->queryPoint(),
-                                              &gradBuf[lane]);
+                                              gradBuf[lane]);
             }
         } else {
             if (!batched) {

@@ -13,8 +13,20 @@
  * object through @ref kernelsForDim, never per evaluation.
  *
  * Complex arithmetic is spelled out on real/imaginary parts (see
- * @ref cmul) so the compiler emits straight mul-add sequences it can
- * auto-vectorize instead of the NaN-recovering __muldc3 libcall.
+ * @ref cmul) so the compiler emits straight mul/add sequences instead
+ * of the NaN-recovering __muldc3 libcall.
+ *
+ * These interleaved kernels are the bit reference, not the hot path:
+ * Ansatz::unitary/unitaryAndGradient run on them, and the parity
+ * tests pin both instantiation evaluators, which run on the planar
+ * SIMD tables (synth/batch/batch_kernels.hh), against them. They are
+ * not left to auto-vectorization because that breaks bit identity:
+ * once FMA is enabled (-march=native on a current x86 host, or
+ * -mavx512f alone), GCC 12 turns the complex multiply into
+ * vfmaddsub, even under -ffp-contract=off (16 of them in
+ * leftU3Fixed<16>). So both evaluators use explicit mul/add/sub
+ * intrinsics, which their -mavx512f unit cannot contract, and the
+ * rest of src/ must not be built with FMA-enabling flags.
  */
 
 #ifndef QUEST_SYNTH_KERNELS_HH

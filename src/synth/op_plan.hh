@@ -1,6 +1,6 @@
 /**
  * @file
- * Precompiled ansatz execution plan shared by the scalar and batched
+ * Precompiled ansatz execution plan shared by the one-lane and batched
  * HS cost functions.
  *
  * Wire bits and parameter bases are structural — they depend only on

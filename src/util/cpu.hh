@@ -1,7 +1,8 @@
 /**
  * @file
  * One-time host CPU feature probe and the QUEST_SIMD runtime
- * override, backing the batched-kernel ISA dispatch
+ * override, backing the ISA dispatch of both instantiation
+ * evaluators' kernel tables, batched and one-lane
  * (synth/batch/batch_kernels.hh).
  *
  * Both probes run exactly once per process and cache their answer:
@@ -32,8 +33,8 @@ const CpuFeatures &cpuFeatures();
 /**
  * Parsed value of the QUEST_SIMD environment variable, read once.
  *
- *   scalar  — the portable scalar-lane kernels (no vector ISA);
- *             off, 0 and none mean the same
+ *   scalar  — the portable scalar kernels (no vector ISA) for both
+ *             evaluators; off, 0 and none mean the same
  *   avx2    — cap the dispatch at AVX2
  *   avx512  — request AVX-512 (falls back if the host lacks it)
  *

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <numbers>
 
 #include "linalg/decompose.hh"
@@ -118,8 +120,13 @@ TEST(HsCost, ZeroAtExactTarget)
     auto params = randomParams(a.paramCount(), rng);
     Matrix target = a.unitary(params);
     HsCost cost(target, a);
-    EXPECT_NEAR(cost.evaluate(params, nullptr), 0.0, 1e-10);
-    EXPECT_NEAR(cost.distance(params), 0.0, 1e-5);
+    std::vector<double> grad;
+    const double f = cost.evaluate(params, grad);
+    EXPECT_NEAR(f, 0.0, 1e-10);
+    EXPECT_NEAR(std::sqrt(std::max(0.0, f)), 0.0, 1e-5);
+    // The exact target is a minimum: the gradient vanishes there.
+    for (double g : grad)
+        EXPECT_NEAR(g, 0.0, 1e-8);
 }
 
 TEST(HsCost, GlobalPhaseInvariant)
@@ -129,7 +136,8 @@ TEST(HsCost, GlobalPhaseInvariant)
     auto params = randomParams(a.paramCount(), rng);
     Matrix target = a.unitary(params) * std::polar(1.0, 0.9);
     HsCost cost(target, a);
-    EXPECT_NEAR(cost.evaluate(params, nullptr), 0.0, 1e-10);
+    std::vector<double> grad;
+    EXPECT_NEAR(cost.evaluate(params, grad), 0.0, 1e-10);
 }
 
 TEST(HsCost, GradientMatchesFiniteDifference)
@@ -142,17 +150,18 @@ TEST(HsCost, GradientMatchesFiniteDifference)
         HsCost cost(target, a);
 
         std::vector<double> grad;
-        double f = cost.evaluate(params, &grad);
+        double f = cost.evaluate(params, grad);
         EXPECT_GE(f, -1e-12);
         EXPECT_LE(f, 1.0 + 1e-12);
 
         const double h = 1e-6;
+        std::vector<double> scratch;
         for (int p = 0; p < a.paramCount(); ++p) {
             auto plus = params, minus = params;
             plus[p] += h;
             minus[p] -= h;
-            double fd = (cost.evaluate(plus, nullptr) -
-                         cost.evaluate(minus, nullptr)) /
+            double fd = (cost.evaluate(plus, scratch) -
+                         cost.evaluate(minus, scratch)) /
                         (2.0 * h);
             EXPECT_NEAR(grad[p], fd, 1e-6)
                 << "n=" << n << " param " << p;
@@ -171,7 +180,7 @@ TEST(HsCost, FastPathMatchesReferenceGradient)
     HsCost cost(target, a);
 
     std::vector<double> fast;
-    cost.evaluate(params, &fast);
+    cost.evaluate(params, fast);
 
     Matrix u;
     std::vector<Matrix> grads;
@@ -188,12 +197,14 @@ TEST(HsCost, FastPathMatchesReferenceGradient)
 
 TEST(HsCost, DistanceMatchesHsDistance)
 {
+    // The objective's square root is the HS distance.
     Rng rng(17);
     Ansatz a = testAnsatz(2, 2, rng);
     auto params = randomParams(a.paramCount(), rng);
     Matrix target = a.unitary(randomParams(a.paramCount(), rng));
     HsCost cost(target, a);
-    EXPECT_NEAR(cost.distance(params),
+    std::vector<double> grad;
+    EXPECT_NEAR(std::sqrt(std::max(0.0, cost.evaluate(params, grad))),
                 hsDistance(target, a.unitary(params)), 1e-10);
 }
 

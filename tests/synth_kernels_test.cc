@@ -5,8 +5,11 @@
  * embedUnitary reference across all supported dimensions and wires,
  * the fused U3+derivative evaluation against the reference factories,
  * and the HsCost workspace gradient against finite differences and
- * the dense unitaryAndGradient path. A global operator-new probe
- * asserts the zero-allocation contract of evaluate() after warm-up.
+ * the dense unitaryAndGradient path. Both SIMD tables (batched and
+ * one-lane) are pinned bit-exact to the interleaved kern::KernelSet
+ * on every compiled-in ISA, and so are both evaluators. A global
+ * operator-new probe asserts the zero-allocation contract of
+ * evaluate() after warm-up.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <cstdlib>
 #include <new>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "linalg/decompose.hh"
@@ -30,6 +34,7 @@
 #include "synth/hs_cost.hh"
 #include "synth/instantiater.hh"
 #include "synth/kernels.hh"
+#include "synth/op_plan.hh"
 #include "util/names.hh"
 #include "util/rng.hh"
 
@@ -268,16 +273,17 @@ TEST(HsCostWorkspace, GradientMatchesFiniteDifference)
             v = rng.uniform(-pi, pi);
         HsCost cost(target, a);
         std::vector<double> grad;
-        cost.evaluate(x, &grad);
+        cost.evaluate(x, grad);
         ASSERT_EQ(grad.size(), x.size());
 
         const double h = 1e-6;
+        std::vector<double> scratch;
         for (size_t i = 0; i < x.size(); ++i) {
             std::vector<double> xp = x, xm = x;
             xp[i] += h;
             xm[i] -= h;
-            const double fd = (cost.evaluate(xp, nullptr) -
-                               cost.evaluate(xm, nullptr)) /
+            const double fd = (cost.evaluate(xp, scratch) -
+                               cost.evaluate(xm, scratch)) /
                               (2.0 * h);
             EXPECT_NEAR(grad[i], fd, 1e-5) << "n=" << n << " i=" << i;
         }
@@ -298,7 +304,7 @@ TEST(HsCostWorkspace, MatchesDenseReferencePath)
         v = rng.uniform(-pi, pi);
     HsCost cost(target, a);
     std::vector<double> grad;
-    const double f = cost.evaluate(x, &grad);
+    const double f = cost.evaluate(x, grad);
 
     // Dense reference: the slow unitaryAndGradient path plus the
     // textbook f = 1 - |Tr(T^dagger A)|^2 / N^2 and its chain rule.
@@ -333,8 +339,7 @@ TEST(HsCostWorkspace, EvaluateIsAllocationFreeAfterWarmup)
     std::vector<double> grad;
     // Warm-up: sizes the gradient vector and touches every lazily
     // initialized static (metric counters) once.
-    cost.evaluate(x, &grad);
-    cost.evaluate(x, nullptr);
+    cost.evaluate(x, grad);
 
     const uint64_t ws_allocs = cost.workspace().allocations;
     const uint64_t ws_reuses = cost.workspace().reuses;
@@ -343,8 +348,7 @@ TEST(HsCostWorkspace, EvaluateIsAllocationFreeAfterWarmup)
         g_allocation_count.load(std::memory_order_relaxed);
     for (int i = 0; i < 50; ++i) {
         x[static_cast<size_t>(i) % x.size()] = std::sin(0.7 * i);
-        sink += cost.evaluate(x, &grad);
-        sink += cost.evaluate(x, nullptr);
+        sink += cost.evaluate(x, grad);
     }
     const uint64_t after =
         g_allocation_count.load(std::memory_order_relaxed);
@@ -353,20 +357,22 @@ TEST(HsCostWorkspace, EvaluateIsAllocationFreeAfterWarmup)
         << "evaluate() allocated in steady state (sink=" << sink << ")";
     EXPECT_EQ(cost.workspace().allocations, ws_allocs)
         << "workspace grew after construction";
-    EXPECT_EQ(cost.workspace().reuses, ws_reuses + 100);
+    EXPECT_EQ(cost.workspace().reuses, ws_reuses + 50);
 }
 
 // ---------------------------------------------------------------------
-// Batched (SoA, lane-parallel) engine: every kernel and the full
-// batched cost must be BIT-identical per lane to the scalar engine,
-// on every ISA the build and the host provide. All comparisons below
-// are EXPECT_EQ on doubles — exact, not approximate.
+// SIMD tables, batched (SoA, lane-parallel) and one-lane (planar,
+// column-parallel): every kernel and both full evaluators must be
+// BIT-identical to the scalar kernels, per lane, on every ISA the
+// build and the host provide. All comparisons below are EXPECT_EQ on
+// doubles — exact, not approximate.
 
 namespace batchref {
 
 constexpr size_t kL = kern::batch::kLanes;
 
-/** The ISAs whose tables exist on this build+host. */
+/** The ISAs whose tables exist on this build+host; an ISA has both
+ *  its batched and its one-lane table or neither. */
 std::vector<kern::batch::SimdIsa>
 availableIsas()
 {
@@ -374,10 +380,104 @@ availableIsas()
     for (auto isa :
          {kern::batch::SimdIsa::Scalar, kern::batch::SimdIsa::Avx2,
           kern::batch::SimdIsa::Avx512}) {
-        if (kern::batch::batchKernelsForIsa(isa, 2))
+        const bool batched = kern::batch::batchKernelsForIsa(isa, 2);
+        EXPECT_EQ(kern::batch::oneLaneKernelsForIsa(isa, 2) != nullptr,
+                  batched)
+            << kern::batch::simdIsaName(isa);
+        if (batched)
             isas.push_back(isa);
     }
     return isas;
+}
+
+/** Split one dense matrix into real/imaginary planes. */
+void
+split(const Matrix &m, std::vector<double> &re, std::vector<double> &im)
+{
+    re.resize(m.data().size());
+    im.resize(m.data().size());
+    for (size_t e = 0; e < m.data().size(); ++e) {
+        re[e] = m.data()[e].real();
+        im[e] = m.data()[e].imag();
+    }
+}
+
+/** Exact equality of planes against a dense matrix. */
+void
+expectPlanesEqual(const std::vector<double> &re, const std::vector<double> &im,
+                  const Matrix &ref, const std::string &what)
+{
+    ASSERT_EQ(re.size(), ref.data().size()) << what;
+    for (size_t e = 0; e < re.size(); ++e) {
+        EXPECT_EQ(re[e], ref.data()[e].real()) << what << " e=" << e;
+        EXPECT_EQ(im[e], ref.data()[e].imag()) << what << " e=" << e;
+    }
+}
+
+/**
+ * The HS cost and gradient computed on the interleaved
+ * kern::KernelSet, HsCost's evaluator-level bit reference: forward
+ * prefix walk by copy-then-apply, Tr(target^dagger U) accumulated
+ * elementwise, transposed backward sweep.
+ */
+double
+referenceEvaluate(const Matrix &target, const Ansatz &a,
+                  const std::vector<double> &x, std::vector<double> &grad)
+{
+    const size_t dim = target.rows();
+    const size_t dd = dim * dim;
+    const kern::KernelSet &k = kern::kernelsForDim(dim);
+    const synth::CompiledPlan plan = synth::compilePlan(a);
+    const double n2 = static_cast<double>(dim) * static_cast<double>(dim);
+    std::vector<Complex> tc(dd);
+    for (size_t e = 0; e < dd; ++e)
+        tc[e] = std::conj(target.data()[e]);
+
+    std::vector<Complex> pre((plan.ops.size() + 1) * dd);
+    std::vector<Complex> terms(plan.u3Count * 16);
+    for (size_t i = 0; i < dim; ++i)
+        pre[i * dim + i] = Complex(1.0, 0.0);
+    size_t ui = 0;
+    for (size_t j = 0; j < plan.ops.size(); ++j) {
+        const synth::OpPlan &op = plan.ops[j];
+        Complex *nxt = pre.data() + (j + 1) * dd;
+        std::copy(nxt - dd, nxt, nxt);
+        if (op.isCx) {
+            k.leftCx(dim, nxt, op.bit, op.bit2);
+            continue;
+        }
+        Complex *slot = terms.data() + ui++ * 16;
+        u3WithDerivatives(x[op.base], x[op.base + 1], x[op.base + 2], slot,
+                          reinterpret_cast<Complex(*)[4]>(slot + 4));
+        k.leftU3(dim, nxt, slot, op.bit);
+    }
+    Complex tr(0.0, 0.0);
+    for (size_t e = 0; e < dd; ++e)
+        tr += kern::cmul(tc[e], pre[plan.ops.size() * dd + e]);
+
+    grad.assign(static_cast<size_t>(plan.nParams), 0.0);
+    std::vector<Complex> bt = tc;
+    for (size_t j = plan.ops.size(); j-- > 0;) {
+        const synth::OpPlan &op = plan.ops[j];
+        if (op.isCx) {
+            k.leftCx(dim, bt.data(), op.bit, op.bit2);
+            continue;
+        }
+        const Complex *slot = terms.data() + --ui * 16;
+        Complex w2[4];
+        k.reduceTraceT(dim, pre.data() + j * dd, bt.data(), op.bit, w2);
+        for (int which = 0; which < 3; ++which) {
+            const Complex *d = slot + 4 + which * 4;
+            const Complex dtr =
+                kern::cmul(w2[0], d[0]) + kern::cmul(w2[1], d[2]) +
+                kern::cmul(w2[2], d[1]) + kern::cmul(w2[3], d[3]);
+            grad[op.base + which] =
+                -2.0 * kern::cmul(std::conj(tr), dtr).real() / n2;
+        }
+        const Complex gT[4] = {slot[0], slot[2], slot[1], slot[3]};
+        k.leftU3(dim, bt.data(), gT, op.bit);
+    }
+    return 1.0 - std::norm(tr) / n2;
 }
 
 /** Scatter kL dense matrices into split-plane SoA storage. */
@@ -596,54 +696,242 @@ TEST(BatchKernels, TraceTargetMatchesScalarBitExact)
     }
 }
 
-TEST(BatchedHsCostSuite, EvaluateMatchesScalarBitExactAllLaneCounts)
+// One-lane (column-vectorized) kernels: each ISA's table against the
+// interleaved kern::KernelSet, exact equality, dims 2-32.
+
+TEST(OneLaneKernels, LeftU3MatchesScalarBitExact)
 {
     using namespace batchref;
+    Rng rng(411);
     for (auto isa : availableIsas()) {
-        for (int n = 1; n <= 4; ++n) {
-            Rng rng(500 + static_cast<uint64_t>(n));
-            Ansatz a = testAnsatz(n);
-            std::vector<double> truth(a.paramCount());
-            for (double &v : truth)
-                v = rng.uniform(-pi, pi);
-            const Matrix target = a.unitary(truth);
+        for (size_t dim = 2; dim <= 32; dim <<= 1) {
+            const auto *ok = kern::batch::oneLaneKernelsForIsa(isa, dim);
+            ASSERT_NE(ok, nullptr);
+            const kern::KernelSet &sk = kern::kernelsForDim(dim);
+            for (size_t bit = 1; bit < dim; bit <<= 1) {
+                const std::string what =
+                    std::string("isa=") + kern::batch::simdIsaName(isa) +
+                    " dim=" + std::to_string(dim) +
+                    " bit=" + std::to_string(bit);
+                const Matrix m = randomMatrix(dim, rng);
+                Complex g[4];
+                for (Complex &v : g)
+                    v = Complex(rng.uniform(-1.0, 1.0),
+                                rng.uniform(-1.0, 1.0));
+                Matrix ref = m;
+                sk.leftU3(dim, ref.data().data(), g, bit);
 
-            // Live-lane counts 1..kL cover full and partial batches.
-            for (size_t live = 1; live <= kL; ++live) {
-                std::array<std::vector<double>, kL> xsStore;
-                std::array<const std::vector<double> *, kL> xs{};
-                std::array<std::vector<double>, kL> gradStore;
-                std::array<std::vector<double> *, kL> grads{};
-                for (size_t l = 0; l < live; ++l) {
-                    xsStore[l].resize(
-                        static_cast<size_t>(a.paramCount()));
-                    for (double &v : xsStore[l])
-                        v = rng.uniform(-pi, pi);
-                    xs[l] = &xsStore[l];
-                    grads[l] = &gradStore[l];
+                // Fused out-of-place (the forward walk) ...
+                std::vector<double> sRe, sIm;
+                split(m, sRe, sIm);
+                std::vector<double> oRe(sRe.size()), oIm(sIm.size());
+                ok->leftU3(dim, oRe.data(), oIm.data(), sRe.data(),
+                           sIm.data(), reinterpret_cast<const double *>(g),
+                           bit);
+                expectPlanesEqual(oRe, oIm, ref, what + " out-of-place");
+                // ... and in place (the backward accumulator).
+                ok->leftU3(dim, sRe.data(), sIm.data(), sRe.data(),
+                           sIm.data(), reinterpret_cast<const double *>(g),
+                           bit);
+                expectPlanesEqual(sRe, sIm, ref, what + " in-place");
+            }
+        }
+    }
+}
+
+TEST(OneLaneKernels, LeftCxMatchesScalarBitExact)
+{
+    using namespace batchref;
+    Rng rng(412);
+    for (auto isa : availableIsas()) {
+        for (size_t dim = 4; dim <= 32; dim <<= 1) {
+            const auto *ok = kern::batch::oneLaneKernelsForIsa(isa, dim);
+            ASSERT_NE(ok, nullptr);
+            const kern::KernelSet &sk = kern::kernelsForDim(dim);
+            for (size_t bc = 1; bc < dim; bc <<= 1) {
+                for (size_t bt = 1; bt < dim; bt <<= 1) {
+                    if (bc == bt)
+                        continue;
+                    const std::string what =
+                        std::string("isa=") +
+                        kern::batch::simdIsaName(isa) +
+                        " dim=" + std::to_string(dim) +
+                        " bc=" + std::to_string(bc) +
+                        " bt=" + std::to_string(bt);
+                    const Matrix m = randomMatrix(dim, rng);
+                    Matrix ref = m;
+                    sk.leftCx(dim, ref.data().data(), bc, bt);
+
+                    std::vector<double> sRe, sIm;
+                    split(m, sRe, sIm);
+                    std::vector<double> oRe(sRe.size()), oIm(sIm.size());
+                    ok->leftCxOut(dim, oRe.data(), oIm.data(), sRe.data(),
+                                  sIm.data(), bc, bt);
+                    expectPlanesEqual(oRe, oIm, ref, what + " gather");
+                    ok->leftCx(dim, sRe.data(), sIm.data(), bc, bt);
+                    expectPlanesEqual(sRe, sIm, ref, what + " swap");
                 }
+            }
+        }
+    }
+}
+
+TEST(OneLaneKernels, ReduceTraceTMatchesScalarBitExact)
+{
+    using namespace batchref;
+    Rng rng(413);
+    for (auto isa : availableIsas()) {
+        for (size_t dim = 2; dim <= 32; dim <<= 1) {
+            const auto *ok = kern::batch::oneLaneKernelsForIsa(isa, dim);
+            ASSERT_NE(ok, nullptr);
+            const kern::KernelSet &sk = kern::kernelsForDim(dim);
+            for (size_t bit = 1; bit < dim; bit <<= 1) {
+                const Matrix p = randomMatrix(dim, rng);
+                const Matrix b = randomMatrix(dim, rng);
+                Complex ref[4];
+                sk.reduceTraceT(dim, p.data().data(), b.data().data(), bit,
+                                ref);
+                std::vector<double> pRe, pIm, bRe, bIm;
+                split(p, pRe, pIm);
+                split(b, bRe, bIm);
+                Complex got[4];
+                ok->reduceTraceT(dim, pRe.data(), pIm.data(), bRe.data(),
+                                 bIm.data(), bit,
+                                 reinterpret_cast<double *>(got));
+                for (size_t e = 0; e < 4; ++e) {
+                    EXPECT_EQ(got[e].real(), ref[e].real())
+                        << "isa=" << kern::batch::simdIsaName(isa)
+                        << " dim=" << dim << " bit=" << bit << " e=" << e;
+                    EXPECT_EQ(got[e].imag(), ref[e].imag());
+                }
+            }
+        }
+    }
+}
+
+TEST(OneLaneKernels, TraceTargetMatchesScalarBitExact)
+{
+    using namespace batchref;
+    Rng rng(414);
+    for (auto isa : availableIsas()) {
+        for (size_t dim = 2; dim <= 32; dim <<= 1) {
+            const auto *ok = kern::batch::oneLaneKernelsForIsa(isa, dim);
+            ASSERT_NE(ok, nullptr);
+            const size_t dd = dim * dim;
+            const Matrix tgt = randomMatrix(dim, rng);
+            const Matrix u = randomMatrix(dim, rng);
+            std::vector<double> tcRe(dd), tcIm(dd), uRe, uIm;
+            // The scalar engine's accumulation, verbatim.
+            Complex ref(0.0, 0.0);
+            for (size_t e = 0; e < dd; ++e) {
+                const Complex tc = std::conj(tgt.data()[e]);
+                tcRe[e] = tc.real();
+                tcIm[e] = tc.imag();
+                ref += kern::cmul(tc, u.data()[e]);
+            }
+            split(u, uRe, uIm);
+            double got[2];
+            ok->traceTarget(dim, tcRe.data(), tcIm.data(), uRe.data(),
+                            uIm.data(), got);
+            EXPECT_EQ(got[0], ref.real())
+                << "isa=" << kern::batch::simdIsaName(isa) << " dim=" << dim;
+            EXPECT_EQ(got[1], ref.imag());
+        }
+    }
+}
+
+TEST(HsCostWorkspace, MatchesInterleavedReferenceBitExactEveryIsa)
+{
+    // Evaluator level: the planar HsCost on every one-lane table
+    // reproduces the interleaved KernelSet evaluation bit for bit,
+    // including dim 32's generic bodies.
+    using namespace batchref;
+    for (int n = 1; n <= 5; ++n) {
+        Rng rng(450 + static_cast<uint64_t>(n));
+        Ansatz a = testAnsatz(n);
+        std::vector<double> truth(a.paramCount());
+        for (double &v : truth)
+            v = rng.uniform(-pi, pi);
+        const Matrix target = a.unitary(truth);
+        std::vector<double> x(a.paramCount());
+        for (double &v : x)
+            v = rng.uniform(-pi, pi);
+        std::vector<double> refGrad;
+        const double refF = referenceEvaluate(target, a, x, refGrad);
+        for (auto isa : availableIsas()) {
+            HsCost cost(target, a);
+            cost.useKernels(
+                *kern::batch::oneLaneKernelsForIsa(isa, target.rows()));
+            std::vector<double> grad;
+            EXPECT_EQ(cost.evaluate(x, grad), refF)
+                << "isa=" << kern::batch::simdIsaName(isa) << " n=" << n;
+            EXPECT_EQ(grad, refGrad)
+                << "isa=" << kern::batch::simdIsaName(isa) << " n=" << n;
+        }
+    }
+}
+
+TEST(BatchedHsCostSuite, EvaluateMatchesScalarBitExactAllLaneCounts)
+{
+    // Every (batched ISA, one-lane ISA) pair must agree per lane: the
+    // multistart driver switches evaluators within a call. n = 5
+    // (dim 32) runs both evaluators' generic bodies.
+    using namespace batchref;
+    const std::vector<kern::batch::SimdIsa> isas = availableIsas();
+    for (int n = 1; n <= 5; ++n) {
+        Rng rng(500 + static_cast<uint64_t>(n));
+        Ansatz a = testAnsatz(n);
+        std::vector<double> truth(a.paramCount());
+        for (double &v : truth)
+            v = rng.uniform(-pi, pi);
+        const Matrix target = a.unitary(truth);
+
+        // Live-lane counts 1..kL cover full and partial batches.
+        for (size_t live = 1; live <= kL; ++live) {
+            std::array<std::vector<double>, kL> xsStore;
+            std::array<const std::vector<double> *, kL> xs{};
+            std::array<std::vector<double>, kL> gradStore;
+            std::array<std::vector<double> *, kL> grads{};
+            for (size_t l = 0; l < live; ++l) {
+                xsStore[l].resize(static_cast<size_t>(a.paramCount()));
+                for (double &v : xsStore[l])
+                    v = rng.uniform(-pi, pi);
+                xs[l] = &xsStore[l];
+                grads[l] = &gradStore[l];
+            }
+
+            // The one-lane results, per one-lane ISA and lane.
+            std::vector<std::array<double, kL>> refF(isas.size());
+            std::vector<std::array<std::vector<double>, kL>> refGrad(
+                isas.size());
+            for (size_t o = 0; o < isas.size(); ++o) {
+                HsCost ref(target, a);
+                ref.useKernels(*kern::batch::oneLaneKernelsForIsa(
+                    isas[o], target.rows()));
+                for (size_t l = 0; l < live; ++l)
+                    refF[o][l] = ref.evaluate(xsStore[l], refGrad[o][l]);
+            }
+
+            for (auto bisa : isas) {
                 synth::BatchedHsCost cost(target, a);
                 const auto *bk = kern::batch::batchKernelsForIsa(
-                    isa, target.rows());
+                    bisa, target.rows());
                 ASSERT_NE(bk, nullptr);
                 cost.useKernels(*bk);
                 std::array<double, kL> f{};
                 cost.evaluateBatch(xs, f, grads);
-
-                HsCost ref(target, a);
-                for (size_t l = 0; l < live; ++l) {
-                    std::vector<double> refGrad;
-                    const double refF = ref.evaluate(xsStore[l], &refGrad);
-                    EXPECT_EQ(f[l], refF)
-                        << "isa=" << kern::batch::simdIsaName(isa)
-                        << " n=" << n << " live=" << live
-                        << " lane=" << l;
-                    ASSERT_EQ(gradStore[l].size(), refGrad.size());
-                    for (size_t i = 0; i < refGrad.size(); ++i) {
-                        EXPECT_EQ(gradStore[l][i], refGrad[i])
-                            << "isa=" << kern::batch::simdIsaName(isa)
-                            << " n=" << n << " live=" << live
-                            << " lane=" << l << " param=" << i;
+                for (size_t o = 0; o < isas.size(); ++o) {
+                    for (size_t l = 0; l < live; ++l) {
+                        const std::string what =
+                            std::string("batched=") +
+                            kern::batch::simdIsaName(bisa) +
+                            " one-lane=" +
+                            kern::batch::simdIsaName(isas[o]) +
+                            " n=" + std::to_string(n) +
+                            " live=" + std::to_string(live) +
+                            " lane=" + std::to_string(l);
+                        EXPECT_EQ(f[l], refF[o][l]) << what;
+                        EXPECT_EQ(gradStore[l], refGrad[o][l]) << what;
                     }
                 }
             }
@@ -759,7 +1047,8 @@ TEST(HsCostWorkspace, ConstructorWarmsTheArena)
     EXPECT_EQ(cost.workspace().allocations, 1u);
     EXPECT_EQ(cost.workspace().reuses, 0u);
     std::vector<double> x(a.paramCount(), 0.25);
-    cost.evaluate(x, nullptr);
+    std::vector<double> grad;
+    cost.evaluate(x, grad);
     EXPECT_EQ(cost.workspace().allocations, 1u);
     EXPECT_EQ(cost.workspace().reuses, 1u);
 }
@@ -767,9 +1056,9 @@ TEST(HsCostWorkspace, ConstructorWarmsTheArena)
 TEST(InstantiateDispatch, CountedOnlyForCallsWithABatchedTick)
 {
     // synth.simd_dispatch.* counts calls that built the batched
-    // evaluator. A 2-start call runs on the one-lane HsCost end to
-    // end and must not touch it; a 4-start call starts with batched
-    // ticks and adds exactly one to the active ISA's counter.
+    // evaluator. A 2- or 4-start call runs on the one-lane HsCost end
+    // to end and must not touch it; a 6-start call starts with
+    // batched ticks and adds exactly one to the active ISA's counter.
     auto &registry = obs::MetricsRegistry::global();
     auto &batched_evals =
         registry.counter(names::kMetricSynthBatchedEvals);
@@ -802,12 +1091,15 @@ TEST(InstantiateDispatch, CountedOnlyForCallsWithABatchedTick)
 
     const auto before = snapshot();
     const uint64_t evals_before = batched_evals.value();
-    opts.multistarts = 2;
-    instantiate(target, a, rng, opts);
-    EXPECT_EQ(snapshot(), before);
-    EXPECT_EQ(batched_evals.value(), evals_before);
+    for (int starts : {2, 4}) {
+        opts.multistarts = starts;
+        instantiate(target, a, rng, opts);
+        EXPECT_EQ(snapshot(), before) << starts << " starts";
+        EXPECT_EQ(batched_evals.value(), evals_before)
+            << starts << " starts";
+    }
 
-    opts.multistarts = 4;
+    opts.multistarts = 6;
     instantiate(target, a, rng, opts);
     std::array<uint64_t, 3> expected = before;
     ++expected[active];
