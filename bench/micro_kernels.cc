@@ -3,7 +3,8 @@
  * google-benchmark micro-benchmarks of the hot kernels behind the
  * QUEST pipeline: statevector gate application, HS distance, dense
  * unitary builds (serial, pooled and block-sized), gradient
- * evaluation, instantiation and annealing steps.
+ * evaluation and its one-lane trace and row kernels, instantiation
+ * and annealing steps.
  *
  * Besides the google-benchmark suite, main() measures instantiation
  * throughput directly and archives it as BENCH_instantiation.json
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <string>
 
@@ -27,6 +29,7 @@
 #include "resilience/thread_pool.hh"
 #include "sim/statevector.hh"
 #include "sim/unitary_builder.hh"
+#include "synth/batch/batch_kernels.hh"
 #include "synth/batch/batched_hs_cost.hh"
 #include "synth/hs_cost.hh"
 #include "synth/instantiater.hh"
@@ -167,6 +170,60 @@ BM_HsEvalGrad(benchmark::State &state)
 }
 BENCHMARK(BM_HsEvalGrad)->Arg(2)->Arg(3)->Arg(4);
 
+/**
+ * A random dim x dim matrix pair as the split re/im planes HsCost
+ * keeps (64-byte-aligned bases): the one-lane kernel rows' operands.
+ */
+struct LanePlanes
+{
+    explicit LanePlanes(size_t dim)
+    {
+        Rng rng(11);
+        for (size_t i = 0; i < 4; ++i) {
+            kern::batch::fitAligned(buf[i], plane[i], dim * dim);
+            for (size_t e = 0; e < dim * dim; ++e)
+                plane[i][e] = rng.uniform(-1.0, 1.0);
+        }
+    }
+    std::vector<double> buf[4];
+    double *plane[4] = {};
+};
+
+/** One backward-pass trace contraction at the active ISA. */
+void
+BM_OneLaneReduceTraceT(benchmark::State &state)
+{
+    const size_t dim = static_cast<size_t>(state.range(0));
+    const auto &k = kern::batch::oneLaneKernelsFor(dim);
+    LanePlanes m(dim);
+    double w2[8];
+    for (auto _ : state) {
+        k.reduceTraceT(dim, m.plane[0], m.plane[1], m.plane[2],
+                       m.plane[3], 1, w2);
+        benchmark::DoNotOptimize(w2);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_OneLaneReduceTraceT)->Arg(8)->Arg(16);
+
+/** The in-place row update it is paired with, at the active ISA. */
+void
+BM_OneLaneLeftU3(benchmark::State &state)
+{
+    const size_t dim = static_cast<size_t>(state.range(0));
+    const auto &k = kern::batch::oneLaneKernelsFor(dim);
+    LanePlanes m(dim);
+    // A real rotation: unitary, so repeated application stays bounded.
+    const double c = std::cos(0.3), s = std::sin(0.3);
+    const double g[8] = {c, 0.0, -s, 0.0, s, 0.0, c, 0.0};
+    for (auto _ : state) {
+        k.leftU3(dim, m.plane[0], m.plane[1], m.plane[0], m.plane[1], g, 1);
+        benchmark::DoNotOptimize(m.plane[0]);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_OneLaneLeftU3)->Arg(8)->Arg(16);
+
 void
 BM_Instantiation(benchmark::State &state)
 {
@@ -260,11 +317,12 @@ msPerCall(int iters, const std::function<void()> &fn)
  * across its columns) and "simd" the lane-batched BatchedHsCost, both
  * measured IN THE SAME RUN so their ratio is machine-consistent (per
  * candidate for the batched cost). The 24-start instantiate() rows
- * (multistart instantiations per second at 2-5 qubits) use both
- * evaluators and are tagged "simd", as is the 4-start serial latency
- * row CI keys on. The 2- and 4-start rows at 3-4 qubits are the
- * production call shapes (compile calls and lineage calls); they run
- * on HsCost end to end and are tagged "scalar".
+ * (multistart instantiations per second at 2-5 qubits) are tagged
+ * "simd", as is the 4-start serial latency row CI keys on; they use
+ * both evaluators at 3-4 qubits, where full ticks run batched, and
+ * HsCost alone at 2 and 5. The 2- and 4-start rows at 3-4 qubits are
+ * the production call shapes (compile calls and lineage calls); they
+ * run on HsCost end to end and are tagged "scalar".
  *
  * The n=2..4 cases run the specialized fixed-dim kernels; n=5 (dim
  * 32) exercises both evaluators' generic runtime-dim kernels. Its
@@ -342,7 +400,7 @@ instantiationTable()
                       Table::num(1000.0 / ms, 2)});
 
         // The production call shapes: 2 starts per compile call, 4
-        // per lineage call, both at or below the one-lane crossover.
+        // per lineage call, both too few for a full batched tick.
         if (n == 3 || n == 4) {
             for (int starts : {2, 4}) {
                 iopts.multistarts = starts;

@@ -19,8 +19,11 @@
  * Every scalar floating-point operation of the reference kernel
  * becomes one vector operation, with identical per-element order and
  * associativity, so every lane and every element is bit-for-bit the
- * reference's. Reductions keep the reference's serial summation
- * order: only the products are vectorized.
+ * reference's. The one-lane reductions keep each sum's serial
+ * order too: reduceTraceT transposes a chunk's eight product vectors
+ * in registers, so that one lane-wise add per column feeds all eight
+ * of its sums in column order, and traceTarget adds its products one
+ * at a time.
  *
  * Three implementations of each table are compiled: a portable
  * scalar loop (always available, and the only one in a
@@ -160,7 +163,7 @@ struct OneLaneKernelSet
                       size_t bt);
 
     /** kern::KernelSet::reduceTraceT, each of the four sums taken in
-     *  its serial (h, c) order. */
+     *  its serial (h, c) order; writes w2 as four (re, im) pairs. */
     void (*reduceTraceT)(size_t dim, const double *pRe, const double *pIm,
                          const double *btRe, const double *btIm, size_t bit,
                          double *w2);

@@ -17,6 +17,17 @@
  *     static Reg  sub(Reg, Reg);
  *     static Reg  mul(Reg, Reg);
  *
+ * A one-lane policy (LaneBodies) also adds reduceTraceT's products
+ * into its eight running sums, held as 8 / width registers with sum k
+ * in lane k % width of register k / width:
+ *     static void addColumns(Reg (&sums)[8 / width],
+ *                            const Reg (&t)[8]);
+ *                      // sum k += t[k][0], then t[k][1], ...
+ *                      // t[k][width-1]
+ * The vector policies transpose t in registers (shuffles only move
+ * bits) so that one lane-wise add per column feeds every sum, in the
+ * reference's column order.
+ *
  * Bit-identity contract: every body is a 1:1 translation of the
  * scalar kernel body in synth/kernels.cc — same loop order, same
  * operand order, complex arithmetic spelled with separate mul/add/sub
@@ -333,9 +344,11 @@ tableForDim(size_t dim)
  * One-lane loop bodies for one (policy, compile-time dim) pair: a
  * single matrix in split planes, every row vectorized across its
  * columns (D == 0 means runtime dimension). Each element sees the
- * scalar kernel's exact operations; the reductions vectorize the
- * products and add them into the scalar accumulators one element at
- * a time, in the scalar loop's order.
+ * scalar kernel's exact operations, and every reduction sum takes its
+ * terms one at a time in the scalar loop's order. reduceTraceT keeps
+ * its eight sums in registers (addColumns, contract above).
+ * traceTarget's two sums are each one chain of dim * dim adds, which
+ * no transpose shortens, so it adds its products from a stack buffer.
  */
 template <class V, size_t D>
 struct LaneBodies
@@ -428,8 +441,10 @@ struct LaneBodies
     {
         const size_t dim = D ? D : dimArg;
         const size_t lo = bit - 1;
-        // w[2k], w[2k+1]: entry k's real and imaginary sums.
-        double w[8] = {};
+        // Sum k is w2[k]: entry k / 2's real (even k) or imaginary part.
+        Reg w[8 / W];
+        for (Reg &s : w)
+            s = V::zero();
         for (size_t h = 0; h < dim / 2; ++h) {
             const size_t r0 = ((h & ~lo) << 1) | (h & lo);
             const size_t o0 = r0 * dim;
@@ -443,27 +458,24 @@ struct LaneBodies
                 const Reg bai = V::load(btIm + o0 + c);
                 const Reg bbr = V::load(btRe + o1 + c);
                 const Reg bbi = V::load(btIm + o1 + c);
-                alignas(64) double t[8][W];
-                // w00 += cmul(pa, ba)
-                V::store(t[0], V::sub(V::mul(par, bar), V::mul(pai, bai)));
-                V::store(t[1], V::add(V::mul(par, bai), V::mul(pai, bar)));
-                // w01 += cmul(pa, bb)
-                V::store(t[2], V::sub(V::mul(par, bbr), V::mul(pai, bbi)));
-                V::store(t[3], V::add(V::mul(par, bbi), V::mul(pai, bbr)));
-                // w10 += cmul(pb, ba)
-                V::store(t[4], V::sub(V::mul(pbr, bar), V::mul(pbi, bai)));
-                V::store(t[5], V::add(V::mul(pbr, bai), V::mul(pbi, bar)));
-                // w11 += cmul(pb, bb)
-                V::store(t[6], V::sub(V::mul(pbr, bbr), V::mul(pbi, bbi)));
-                V::store(t[7], V::add(V::mul(pbr, bbi), V::mul(pbi, bbr)));
-                for (size_t j = 0; j < W; ++j) {
-                    for (size_t k = 0; k < 8; ++k)
-                        w[k] += t[k][j];
-                }
+                const Reg t[8] = {
+                    // w00 += cmul(pa, ba)
+                    V::sub(V::mul(par, bar), V::mul(pai, bai)),
+                    V::add(V::mul(par, bai), V::mul(pai, bar)),
+                    // w01 += cmul(pa, bb)
+                    V::sub(V::mul(par, bbr), V::mul(pai, bbi)),
+                    V::add(V::mul(par, bbi), V::mul(pai, bbr)),
+                    // w10 += cmul(pb, ba)
+                    V::sub(V::mul(pbr, bar), V::mul(pbi, bai)),
+                    V::add(V::mul(pbr, bai), V::mul(pbi, bar)),
+                    // w11 += cmul(pb, bb)
+                    V::sub(V::mul(pbr, bbr), V::mul(pbi, bbi)),
+                    V::add(V::mul(pbr, bbi), V::mul(pbi, bbr))};
+                V::addColumns(w, t);
             }
         }
-        for (size_t k = 0; k < 8; ++k)
-            w2[k] = w[k];
+        for (size_t i = 0; i < 8 / W; ++i)
+            V::store(w2 + i * W, w[i]);
     }
 
     static void

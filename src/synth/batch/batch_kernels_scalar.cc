@@ -52,6 +52,19 @@ struct VPair
     static Reg add(Reg x, Reg y) { return {x.a + y.a, x.b + y.b}; }
     static Reg sub(Reg x, Reg y) { return {x.a - y.a, x.b - y.b}; }
     static Reg mul(Reg x, Reg y) { return {x.a * y.a, x.b * y.b}; }
+
+    static void addColumns(Reg (&sums)[4], const Reg (&t)[8])
+    {
+        // Sum 2i is sums[i].a, sum 2i+1 sums[i].b.
+        for (size_t i = 0; i < 4; ++i) {
+            sums[i].a += t[2 * i].a;
+            sums[i].b += t[2 * i + 1].a;
+        }
+        for (size_t i = 0; i < 4; ++i) {
+            sums[i].a += t[2 * i].b;
+            sums[i].b += t[2 * i + 1].b;
+        }
+    }
 };
 
 } // namespace

@@ -29,6 +29,15 @@ struct VSse2
     static Reg add(Reg a, Reg b) { return _mm_add_pd(a, b); }
     static Reg sub(Reg a, Reg b) { return _mm_sub_pd(a, b); }
     static Reg mul(Reg a, Reg b) { return _mm_mul_pd(a, b); }
+
+    static void addColumns(Reg (&sums)[4], const Reg (&t)[8])
+    {
+        // 2x2 transposes: columns 0 and 1 of rows 2i, 2i+1.
+        for (size_t i = 0; i < 4; ++i) {
+            sums[i] = add(sums[i], _mm_unpacklo_pd(t[2 * i], t[2 * i + 1]));
+            sums[i] = add(sums[i], _mm_unpackhi_pd(t[2 * i], t[2 * i + 1]));
+        }
+    }
 };
 
 struct VAvx2
@@ -42,6 +51,25 @@ struct VAvx2
     static Reg add(Reg a, Reg b) { return _mm256_add_pd(a, b); }
     static Reg sub(Reg a, Reg b) { return _mm256_sub_pd(a, b); }
     static Reg mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
+
+    static void addColumns(Reg (&sums)[2], const Reg (&t)[8])
+    {
+        for (size_t i = 0; i < 2; ++i) {
+            // 4x4 transpose of rows q[0..3]: the 128-bit half h of
+            // lo (hi) holds column 2h (2h+1) of a row pair.
+            const Reg *q = t + 4 * i;
+            const Reg lo01 = _mm256_unpacklo_pd(q[0], q[1]);
+            const Reg hi01 = _mm256_unpackhi_pd(q[0], q[1]);
+            const Reg lo23 = _mm256_unpacklo_pd(q[2], q[3]);
+            const Reg hi23 = _mm256_unpackhi_pd(q[2], q[3]);
+            const Reg cols[4] = {_mm256_permute2f128_pd(lo01, lo23, 0x20),
+                                 _mm256_permute2f128_pd(hi01, hi23, 0x20),
+                                 _mm256_permute2f128_pd(lo01, lo23, 0x31),
+                                 _mm256_permute2f128_pd(hi01, hi23, 0x31)};
+            for (const Reg &col : cols)
+                sums[i] = add(sums[i], col);
+        }
+    }
 };
 
 } // namespace

@@ -48,18 +48,24 @@ dispatchCounter(kern::batch::SimdIsa isa)
  * Each tick evaluates all live lanes at once, feeds every machine its
  * (f, gradient), retires finished lanes and refills them from the
  * pending starts. Two evaluators serve the ticks:
- *   - BatchedHsCost, one SIMD pass over all kLanes lanes, while more
- *     than kSingleLanes lanes are live or starts are still pending;
- *   - HsCost, one lane at a time, for the last kSingleLanes lanes;
- *     every call with at most kSingleLanes starts runs on HsCost end
- *     to end.
- * A batched pass costs about the same however many lanes are live.
+ *   - BatchedHsCost, one SIMD pass over all kLanes lanes, when all
+ *     kLanes lanes are live on a 3- or 4-qubit block;
+ *   - HsCost, one lane at a time, for every other tick; every call
+ *     with fewer than kLanes starts, or on any other width, runs on
+ *     HsCost end to end.
+ * A batched pass costs one full pass however many lanes are live.
  * Measured per candidate, a full batched pass beats the column-
- * vectorized HsCost only 1.3-1.8x at 2-5 qubits (EXPERIMENTS.md), so
- * per-lane evaluation is cheaper below about 4.4-6.0 live lanes, and
- * 4 is under the crossover at every width. Both evaluators are built
- * on first use. They agree bit for bit per lane (pinned by the kernel
- * parity tests), so which one served a tick never shows in a result.
+ * vectorized HsCost only 1.08-1.36x at 2-4 qubits and loses at 5
+ * (0.80x; medians, EXPERIMENTS.md), so per-lane evaluation is cheaper
+ * below about 5.9-7.4 live lanes, and at 5 qubits always. Only a
+ * full tick lands on the batched side at both 3 and 4 qubits in every
+ * measured run (a 7-lane tick read on both sides of the crossover at
+ * 4). Below 3 qubits neither evaluator is bound by its kernels
+ * (per-op trig and call overhead set the cost, and a full tick is a
+ * coin flip); above 4 the eight-lane prefix stack leaves L2. Both
+ * evaluators are built on first use. They agree bit for bit per lane
+ * (pinned by the kernel parity tests), so which one served a tick
+ * never shows in a result.
  */
 InstantiationResult
 instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
@@ -83,7 +89,8 @@ instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
 
     constexpr double pi = std::numbers::pi;
     constexpr size_t L = synth::BatchedHsCost::kLanes;
-    constexpr size_t kSingleLanes = 4;
+    const bool batchable =
+        ansatz.numQubits() == 3 || ansatz.numQubits() == 4;
     const int n_params = ansatz.paramCount();
     const int n_starts = std::max(1, options.multistarts);
 
@@ -176,11 +183,11 @@ instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
     // refill from the finite pending list.
     while (n_live > 0) {
         QUEST_BOUNDED_LOOP("per-lane L-BFGS budget polls bound every machine");
-        if (n_live <= kSingleLanes && next_pending >= n_starts) {
+        if (n_live < L || !batchable) {
             if (!single)
                 single.emplace(target, ansatz);
             for (size_t k = 0; k < n_live; ++k) {
-                QUEST_BOUNDED_LOOP("at most kSingleLanes lanes");
+                QUEST_BOUNDED_LOOP("at most kLanes lanes");
                 const size_t lane = live[k];
                 fBuf[lane] = single->evaluate(machines[lane]->queryPoint(),
                                               gradBuf[lane]);

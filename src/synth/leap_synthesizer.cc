@@ -379,7 +379,19 @@ LeapSynthesizer::synthesize(const Matrix &target, int max_cnots,
                            r.distance};
         };
         if (pool) {
-            pool->parallelFor(tasks.size(), run_task, cfg.budget.cancel);
+            // The lineage tasks (brick_inst: twice the starts and the
+            // iterations) sit at the end of the list; claim them first
+            // so that the level's costliest tasks do not start last.
+            // Each task writes only its own child from its own
+            // pre-split stream, so the claim order changes no output.
+            const size_t first_lineage = tasks.size() - lineages.size();
+            pool->parallelFor(
+                tasks.size(),
+                [&](size_t j) {
+                    run_task(j < lineages.size() ? first_lineage + j
+                                                 : j - lineages.size());
+                },
+                cfg.budget.cancel);
         } else {
             for (size_t i = 0; i < tasks.size(); ++i) {
                 if (cfg.budget.exhausted())

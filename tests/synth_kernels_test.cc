@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
@@ -22,6 +23,7 @@
 #include <new>
 #include <numbers>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "linalg/decompose.hh"
@@ -778,19 +780,37 @@ TEST(OneLaneKernels, LeftCxMatchesScalarBitExact)
 
 TEST(OneLaneKernels, ReduceTraceTMatchesScalarBitExact)
 {
+    // Per (ISA, dim, bit): a random pair; a pair whose entries span
+    // about 2^+-20, so that the products span 2^+-40 and any reordered
+    // sum changes the last bits with near certainty; and, per sum,
+    // order witnesses. A witness puts the terms 2^53, 1, -2^53 at
+    // three consecutive positions of one sum's serial (h, c) order,
+    // every other term zero. In that order the sum is exactly 0
+    // (2^53 + 1 rounds to 2^53); adding -2^53 before the 1 gives 1.
+    // Sliding the witness over every start position puts it inside a
+    // register chunk and across every chunk and row boundary.
     using namespace batchref;
     Rng rng(413);
+    auto wideMatrix = [&rng](size_t dim) {
+        Matrix m(dim, dim);
+        auto wide = [&rng] {
+            const int e = static_cast<int>(rng.uniformInt(41)) - 20;
+            return std::ldexp(rng.uniform(-1.0, 1.0), e);
+        };
+        for (Complex &v : m.data())
+            v = Complex(wide(), wide());
+        return m;
+    };
     for (auto isa : availableIsas()) {
         for (size_t dim = 2; dim <= 32; dim <<= 1) {
             const auto *ok = kern::batch::oneLaneKernelsForIsa(isa, dim);
             ASSERT_NE(ok, nullptr);
             const kern::KernelSet &sk = kern::kernelsForDim(dim);
-            for (size_t bit = 1; bit < dim; bit <<= 1) {
-                const Matrix p = randomMatrix(dim, rng);
-                const Matrix b = randomMatrix(dim, rng);
-                Complex ref[4];
+            auto expectMatch = [&](const Matrix &p, const Matrix &b,
+                                   size_t bit, const std::string &what) {
+                std::array<Complex, 4> ref;
                 sk.reduceTraceT(dim, p.data().data(), b.data().data(), bit,
-                                ref);
+                                ref.data());
                 std::vector<double> pRe, pIm, bRe, bIm;
                 split(p, pRe, pIm);
                 split(b, bRe, bIm);
@@ -801,8 +821,51 @@ TEST(OneLaneKernels, ReduceTraceTMatchesScalarBitExact)
                 for (size_t e = 0; e < 4; ++e) {
                     EXPECT_EQ(got[e].real(), ref[e].real())
                         << "isa=" << kern::batch::simdIsaName(isa)
-                        << " dim=" << dim << " bit=" << bit << " e=" << e;
-                    EXPECT_EQ(got[e].imag(), ref[e].imag());
+                        << " dim=" << dim << " bit=" << bit << " e=" << e
+                        << " " << what;
+                    EXPECT_EQ(got[e].imag(), ref[e].imag())
+                        << "isa=" << kern::batch::simdIsaName(isa)
+                        << " dim=" << dim << " bit=" << bit << " e=" << e
+                        << " " << what;
+                }
+                return ref;
+            };
+            for (size_t bit = 1; bit < dim; bit <<= 1) {
+                expectMatch(randomMatrix(dim, rng), randomMatrix(dim, rng),
+                            bit, "random");
+                expectMatch(wideMatrix(dim), wideMatrix(dim), bit, "wide");
+
+                // Position q of the serial order is column q % dim of
+                // row pair h = q / dim; sum k (entry k / 2, the
+                // imaginary part for odd k) multiplies row pair side
+                // (k >> 2) of p by side (k >> 1) & 1 of bt. The first
+                // two row pairs and the step into the third cover
+                // every chunk offset and boundary kind.
+                const size_t terms = dim * dim / 2;
+                const size_t lo = bit - 1;
+                for (size_t q = 0; q + 3 <= std::min(terms, 2 * dim + 2);
+                     ++q) {
+                    for (size_t k = 0; k < 8; ++k) {
+                        Matrix p(dim, dim), b(dim, dim);
+                        const double v[3] = {0x1p53, 1.0, -0x1p53};
+                        for (size_t i = 0; i < 3; ++i) {
+                            const size_t h = (q + i) / dim;
+                            const size_t c = (q + i) % dim;
+                            const size_t r0 = ((h & ~lo) << 1) | (h & lo);
+                            const size_t pr = (k >> 2) ? (r0 | bit) : r0;
+                            const size_t br =
+                                ((k >> 1) & 1) ? (r0 | bit) : r0;
+                            p(pr, c) = v[i];
+                            b(br, c) = (k & 1) ? Complex(0.0, 1.0) : 1.0;
+                        }
+                        const std::array<Complex, 4> ref = expectMatch(
+                            p, b, bit,
+                            "witness q=" + std::to_string(q) +
+                                " sum=" + std::to_string(k));
+                        const Complex &sum = ref[k / 2];
+                        EXPECT_EQ((k & 1) ? sum.imag() : sum.real(), 0.0)
+                            << "witness misplaced: q=" << q << " sum=" << k;
+                    }
                 }
             }
         }
@@ -1056,9 +1119,12 @@ TEST(HsCostWorkspace, ConstructorWarmsTheArena)
 TEST(InstantiateDispatch, CountedOnlyForCallsWithABatchedTick)
 {
     // synth.simd_dispatch.* counts calls that built the batched
-    // evaluator. A 2- or 4-start call runs on the one-lane HsCost end
-    // to end and must not touch it; a 6-start call starts with
-    // batched ticks and adds exactly one to the active ISA's counter.
+    // evaluator, which serves only ticks with all eight lanes live on
+    // a 3- or 4-qubit block. An 8-start call on a 3-qubit ansatz
+    // starts with such a tick and adds exactly one to the active
+    // ISA's counter; calls with fewer starts, or on a 2- or 5-qubit
+    // ansatz, run on the one-lane HsCost end to end and must not
+    // touch it.
     auto &registry = obs::MetricsRegistry::global();
     auto &batched_evals =
         registry.counter(names::kMetricSynthBatchedEvals);
@@ -1078,29 +1144,34 @@ TEST(InstantiateDispatch, CountedOnlyForCallsWithABatchedTick)
         return v;
     };
 
-    Ansatz a = Ansatz::initialLayer(2);
-    a.addLayer(0, 1);
     Rng rng(9);
-    std::vector<double> truth(static_cast<size_t>(a.paramCount()));
-    for (double &v : truth)
-        v = rng.uniform(-pi, pi);
-    const Matrix target = a.unitary(truth);
     InstantiaterOptions opts;
     opts.lbfgs.maxIterations = 20;
     opts.goal = -1.0;  // every start runs
+    // One instantiate() call with @p starts starts on an n-qubit
+    // ansatz whose target it can reach.
+    auto run = [&](int n, int starts) {
+        Ansatz a = Ansatz::initialLayer(n);
+        a.addLayer(0, 1);
+        std::vector<double> truth(static_cast<size_t>(a.paramCount()));
+        for (double &v : truth)
+            v = rng.uniform(-pi, pi);
+        opts.multistarts = starts;
+        instantiate(a.unitary(truth), a, rng, opts);
+    };
 
     const auto before = snapshot();
     const uint64_t evals_before = batched_evals.value();
-    for (int starts : {2, 4}) {
-        opts.multistarts = starts;
-        instantiate(target, a, rng, opts);
-        EXPECT_EQ(snapshot(), before) << starts << " starts";
+    for (auto [n, starts] : {std::pair{3, 2}, std::pair{3, 4},
+                             std::pair{3, 6}, std::pair{2, 8},
+                             std::pair{5, 8}}) {
+        run(n, starts);
+        EXPECT_EQ(snapshot(), before) << starts << " starts, n=" << n;
         EXPECT_EQ(batched_evals.value(), evals_before)
-            << starts << " starts";
+            << starts << " starts, n=" << n;
     }
 
-    opts.multistarts = 6;
-    instantiate(target, a, rng, opts);
+    run(3, 8);
     std::array<uint64_t, 3> expected = before;
     ++expected[active];
     EXPECT_EQ(snapshot(), expected);
