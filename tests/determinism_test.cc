@@ -9,17 +9,22 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <numbers>
 #include <span>
 
 #include "algos/algorithms.hh"
 #include "anneal/dual_annealing.hh"
 #include "ir/qasm.hh"
+#include "obs/metrics.hh"
+#include "quest/objective.hh"
 #include "quest/pipeline.hh"
 #include "synth/instantiater.hh"
+#include "util/names.hh"
 #include "util/serialize.hh"
 
 namespace quest {
@@ -344,6 +349,181 @@ TEST(Determinism, DualAnnealingSameSeed)
     EXPECT_EQ(a.value, b.value);
     EXPECT_EQ(a.x, b.x);
     EXPECT_EQ(a.evaluations, b.evaluations);
+}
+
+// ---------------------------------------------------------------------
+// Dual-annealing trajectory pins: the result point, its value, the
+// evaluation count and the anneal.* counter deltas of fixed runs on
+// three objectives. Captured at commit 751f087 (every polish probe a
+// full evaluation, visiting factors per coordinate, fmod wrap) by
+// running these tests with zeroed rows and copying what their
+// failures printed.
+
+constexpr const char *kAnnealCounterNames[] = {
+    names::kMetricAnnealRuns,         names::kMetricAnnealSteps,
+    names::kMetricAnnealAcceptances,  names::kMetricAnnealRestarts,
+    names::kMetricAnnealEvaluations,  names::kMetricAnnealNanObjectives,
+};
+using AnnealCounts = std::array<uint64_t, std::size(kAnnealCounterNames)>;
+
+AnnealCounts
+annealCounts()
+{
+    AnnealCounts counts{};
+    for (size_t i = 0; i < counts.size(); ++i)
+        counts[i] = obs::MetricsRegistry::global()
+                        .counter(kAnnealCounterNames[i])
+                        .value();
+    return counts;
+}
+
+struct AnnealPin
+{
+    const char *name;
+    uint64_t xHash;      //!< fnv1a64 over result.x's bytes
+    double value;
+    int evaluations;
+    AnnealCounts counts; //!< deltas, in kAnnealCounterNames order
+};
+
+template <class Objective>
+void
+expectAnnealPin(const AnnealPin &pin, Objective &objective,
+                const std::vector<double> &lo,
+                const std::vector<double> &hi, const AnnealOptions &options)
+{
+    const AnnealCounts before = annealCounts();
+    const AnnealResult r = dualAnnealing(objective, lo, hi, options);
+    const AnnealCounts after = annealCounts();
+    AnnealCounts delta{};
+    for (size_t i = 0; i < delta.size(); ++i)
+        delta[i] = after[i] - before[i];
+
+    const uint64_t hash = fnv1a64(r.x.data(), r.x.size() * sizeof(double));
+    char hash_text[32];
+    std::snprintf(hash_text, sizeof hash_text, "0x%016llx",
+                  static_cast<unsigned long long>(hash));
+    EXPECT_EQ(hash, pin.xHash) << pin.name << ": " << hash_text;
+    EXPECT_EQ(r.value, pin.value) << pin.name << ": " << hexFloat(r.value);
+    EXPECT_EQ(r.evaluations, pin.evaluations) << pin.name;
+    for (size_t i = 0; i < delta.size(); ++i)
+        EXPECT_EQ(delta[i], pin.counts[i])
+            << pin.name << ": " << kAnnealCounterNames[i];
+}
+
+TEST(Determinism, DualAnnealingUnitBoxPiecewisePin)
+{
+    // A staircase over [0, 1)^40 with a NaN cell on coordinate 0: the
+    // unit-range wrap, the grid polish and the non-finite clamp.
+    AnnealObjective objective = [](const std::vector<double> &x) {
+        if (std::floor(x[0] * 5.0) == 3.0)
+            return std::numeric_limits<double>::quiet_NaN();
+        double f = 0.0;
+        for (size_t i = 0; i < x.size(); ++i) {
+            const double levels = static_cast<double>(3 + i % 7);
+            const double cell = std::floor(x[i] * levels);
+            f += std::abs(cell - static_cast<double>(i % 3)) *
+                 (1.0 + 0.125 * static_cast<double>(i % 5));
+        }
+        return f;
+    };
+    const std::vector<double> lo(40, 0.0), hi(40, 1.0);
+    AnnealOptions options;
+    options.seed = 7;
+    expectAnnealPin({"unit_box_piecewise", 0x3ed52c4e33210b4cull, 0x0p+0,
+                     1881, {1, 600, 111, 0, 1881, 64}},
+                    objective, lo, hi, options);
+}
+
+TEST(Determinism, DualAnnealingOffsetBoxContinuousPin)
+{
+    // A shifted, rippled bowl over [-2.5, 1.5]^6: the fmod wrap of a
+    // non-unit range, two re-anneals and the polish of a continuous
+    // objective.
+    AnnealObjective objective = [](const std::vector<double> &x) {
+        double f = 0.0;
+        for (size_t i = 0; i < x.size(); ++i) {
+            const double c = 0.4 * static_cast<double>(i) - 1.3;
+            f += (x[i] - c) * (x[i] - c) + 0.5 * (1.0 - std::cos(3.0 * x[i]));
+        }
+        return f;
+    };
+    const std::vector<double> lo(6, -2.5), hi(6, 1.5);
+    AnnealOptions options;
+    options.maxIterations = 2600;
+    options.seed = 99;
+    expectAnnealPin({"offset_box_continuous", 0x55efd5efa51a1d63ull,
+                     0x1.8e429434e7cdcp+0, 2697, {1, 2600, 205, 2, 2697, 0}},
+                    objective, lo, hi, options);
+}
+
+/** A 200-block STEP-3 state with tfim-like tables: 6, 7, 13 or 24
+ *  approximations a block, index 0 the original (distance 0, the
+ *  most CNOTs), random similarity. */
+QuestResult
+syntheticSelectionState()
+{
+    constexpr size_t kBlocks = 200;
+    constexpr uint32_t kCounts[] = {6, 7, 13, 24};
+    Rng rng(2024);
+    QuestResult r;
+    for (size_t b = 0; b < kBlocks; ++b) {
+        const uint32_t count = kCounts[rng.uniformInt(4)];
+        std::vector<BlockApprox> list(count);
+        list[0].cnotCount = 6;
+        for (uint32_t k = 1; k < count; ++k) {
+            list[k].cnotCount = static_cast<int>(rng.uniformInt(6));
+            list[k].distance = rng.uniform(0.0, 0.01);
+        }
+        std::vector<char> similar(count * count, 0);
+        for (uint32_t i = 0; i < count; ++i) {
+            similar[i * count + i] = 1;
+            for (uint32_t j = i + 1; j < count; ++j) {
+                const char s = rng.uniform() < 0.3 ? 1 : 0;
+                similar[i * count + j] = s;
+                similar[j * count + i] = s;
+            }
+        }
+        r.originalCnots += 6;
+        r.blockApprox.push_back(std::move(list));
+        r.blockSimilar.push_back(std::move(similar));
+    }
+    r.threshold = 0.1;
+    return r;
+}
+
+TEST(Determinism, DualAnnealingSelectionObjectivePins)
+{
+    const QuestResult state = syntheticSelectionState();
+    const size_t blocks = state.blockApprox.size();
+    // Earlier samples: mostly the original, a few random cells.
+    Rng rng(77);
+    std::vector<std::vector<int>> samples(3, std::vector<int>(blocks, 0));
+    for (auto &choice : samples)
+        for (size_t b = 0; b < blocks; ++b)
+            if (rng.uniform() < 0.1)
+                choice[b] = static_cast<int>(rng.uniformInt(
+                    static_cast<uint32_t>(state.blockApprox[b].size())));
+
+    const AnnealPin pins[] = {
+        {"selected_0", 0x4aee67577b817da0ull, 0x1.c888888888889p-1, 7001,
+         {1, 600, 225, 0, 7001, 0}},
+        {"selected_1", 0xd7656d37b8419337ull, 0x1.aeeeeeeeeeeefp-1, 7001,
+         {1, 600, 210, 0, 7001, 0}},
+        {"selected_3", 0x07dd8fe74e114e1bull, 0x1.b4b17e4b17e4cp-1, 7001,
+         {1, 600, 221, 0, 7001, 0}},
+    };
+    const size_t counts[] = {0, 1, 3};
+    const std::vector<double> lo(blocks, 0.0), hi(blocks, 1.0);
+    for (size_t p = 0; p < std::size(pins); ++p) {
+        const std::vector<std::vector<int>> selected(
+            samples.begin(), samples.begin() + counts[p]);
+        SelectionObjective objective(state, selected, state.threshold, 0.5);
+        AnnealOptions options;
+        options.seed = 1000 + p;
+        options.initial = std::vector<double>(blocks, 0.0);
+        expectAnnealPin(pins[p], objective, lo, hi, options);
+    }
 }
 
 } // namespace
