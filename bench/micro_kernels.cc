@@ -3,8 +3,8 @@
  * google-benchmark micro-benchmarks of the hot kernels behind the
  * QUEST pipeline: statevector gate application, HS distance, dense
  * unitary builds (serial, pooled and block-sized), gradient
- * evaluation and its one-lane trace and row kernels, instantiation
- * and annealing steps.
+ * evaluation and its one-lane trace and row kernels, instantiation,
+ * annealing steps and whole STEP-3 selection runs.
  *
  * Besides the google-benchmark suite, main() measures instantiation
  * throughput directly and archives it as BENCH_instantiation.json
@@ -26,6 +26,7 @@
 #include "bench_common.hh"
 #include "ir/lower.hh"
 #include "linalg/distance.hh"
+#include "quest/objective.hh"
 #include "resilience/thread_pool.hh"
 #include "sim/statevector.hh"
 #include "sim/unitary_builder.hh"
@@ -297,6 +298,58 @@ BM_DualAnnealingStep(benchmark::State &state)
         benchmark::DoNotOptimize(dualAnnealing(f, lo, hi, opts));
 }
 BENCHMARK(BM_DualAnnealingStep);
+
+/**
+ * One whole STEP-3 dualAnnealing run, chain and polish, over a
+ * synthetic SelectionObjective with tfim_128-like tables: 6, 7, 13 or
+ * 24 approximations a block (index 0 the original) and 3 selected
+ * samples. Arg: block count (87 as in qaoa_64, 475 as in tfim_128).
+ */
+void
+BM_AnnealSelection(benchmark::State &state)
+{
+    const size_t blocks = static_cast<size_t>(state.range(0));
+    constexpr uint32_t kCounts[] = {6, 7, 13, 24};
+    Rng rng(128);
+    QuestResult result;
+    for (size_t b = 0; b < blocks; ++b) {
+        const uint32_t count = kCounts[rng.uniformInt(4)];
+        std::vector<BlockApprox> list(count);
+        list[0].cnotCount = 6;
+        for (uint32_t k = 1; k < count; ++k) {
+            list[k].cnotCount = static_cast<int>(rng.uniformInt(6));
+            list[k].distance = rng.uniform(0.0, 0.05);
+        }
+        std::vector<char> similar(count * count, 0);
+        for (uint32_t i = 0; i < count; ++i) {
+            similar[i * count + i] = 1;
+            for (uint32_t j = i + 1; j < count; ++j) {
+                const char s = rng.uniform() < 0.3 ? 1 : 0;
+                similar[i * count + j] = s;
+                similar[j * count + i] = s;
+            }
+        }
+        result.originalCnots += 6;
+        result.blockApprox.push_back(std::move(list));
+        result.blockSimilar.push_back(std::move(similar));
+    }
+    result.threshold = 0.01 * static_cast<double>(blocks);
+    std::vector<std::vector<int>> selected(3, std::vector<int>(blocks, 0));
+    for (auto &choice : selected)
+        for (size_t b = 0; b < blocks; ++b)
+            if (rng.uniform() < 0.3)
+                choice[b] = static_cast<int>(rng.uniformInt(
+                    static_cast<uint32_t>(result.blockApprox[b].size())));
+
+    SelectionObjective objective(result, selected, result.threshold, 0.5);
+    const std::vector<double> lo(blocks, 0.0), hi(blocks, 1.0);
+    AnnealOptions opts;
+    opts.initial = std::vector<double>(blocks, 0.0);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(dualAnnealing(objective, lo, hi, opts));
+}
+BENCHMARK(BM_AnnealSelection)->Arg(87)->Arg(475)
+    ->Unit(benchmark::kMillisecond);
 
 /** Mean milliseconds per call of @p fn over @p iters calls. */
 double

@@ -21,7 +21,8 @@ constexpr double pi = std::numbers::pi;
 /**
  * Tsallis visiting distribution (the step generator of generalized
  * simulated annealing). Precomputes the temperature-independent
- * factors of SciPy's implementation.
+ * factors of SciPy's implementation once, and the temperature's
+ * factors once per sweep.
  */
 class VisitingDistribution
 {
@@ -43,16 +44,22 @@ class VisitingDistribution
                   std::exp(lgamma_r(d1, &sign));
     }
 
-    /** One heavy-tailed step at the given temperature. */
-    double
-    step(double temperature)
+    /** Set the temperature of the following step() draws. */
+    void
+    setTemperature(double temperature)
     {
         double factor1 =
             std::exp(std::log(temperature) / (qv - 1.0));
         double factor4 = factor4p * factor1;
-        double x = rng.normal() *
-                   std::exp(-(qv - 1.0) *
-                            std::log(factor6 / factor4) / (3.0 - qv));
+        scale = std::exp(-(qv - 1.0) * std::log(factor6 / factor4) /
+                         (3.0 - qv));
+    }
+
+    /** One heavy-tailed step at the current temperature. */
+    double
+    step()
+    {
+        double x = rng.normal() * scale;
         double y = rng.normal();
         double den = std::exp((qv - 1.0) *
                               std::log(std::abs(y)) / (3.0 - qv));
@@ -70,6 +77,7 @@ class VisitingDistribution
     double qv;
     Rng &rng;
     double factor2, factor3, factor4p, factor6;
+    double scale = 0.0;  //!< the current temperature's step scale
 };
 
 /** Wrap a coordinate back into [lo, hi] (SciPy's modulo fold). */
@@ -79,16 +87,64 @@ wrap(double x, double lo, double hi)
     double range = hi - lo;
     if (range <= 0.0)
         return lo;
-    double t = std::fmod(x - lo, range);
+    const double y = x - lo;
+    // On a unit range, fmod(y, 1.0) bit for bit without the libm
+    // call: for |y| >= 1 the subtraction is exact (Sterbenz), for
+    // |y| < 1 trunc is zero, and copysign keeps fmod's signed zero.
+    double t = range == 1.0 ? std::copysign(y - std::trunc(y), y)
+                            : std::fmod(y, range);
     if (t < 0.0)
         t += range;
     return lo + t;
 }
 
+/** A plain function as a CoordinateObjective: a move evaluates it on
+ *  the base point with one coordinate replaced. */
+class FunctionObjective final : public CoordinateObjective
+{
+  public:
+    explicit FunctionObjective(const AnnealObjective &fn) : fn(fn) {}
+
+    double
+    score(const std::vector<double> &x) const override
+    {
+        return fn(x);
+    }
+
+    void
+    setBase(const std::vector<double> &x) override
+    {
+        base = x;
+    }
+
+    double
+    scoreMove(size_t i, double xi) override
+    {
+        const double kept = base[i];
+        base[i] = xi;
+        const double v = fn(base);
+        base[i] = kept;
+        return v;
+    }
+
+  private:
+    const AnnealObjective &fn;
+    std::vector<double> base;
+};
+
 } // namespace
 
 AnnealResult
 dualAnnealing(const AnnealObjective &objective,
+              const std::vector<double> &lo, const std::vector<double> &hi,
+              const AnnealOptions &options)
+{
+    FunctionObjective coordinates(objective);
+    return dualAnnealing(coordinates, lo, hi, options);
+}
+
+AnnealResult
+dualAnnealing(CoordinateObjective &objective,
               const std::vector<double> &lo, const std::vector<double> &hi,
               const AnnealOptions &options)
 {
@@ -108,9 +164,8 @@ dualAnnealing(const AnnealObjective &objective,
     // Non-finite objective values would poison the acceptance math
     // (inf - inf = NaN probabilities) and, worse, could be adopted as
     // the incumbent best; treat them as "infinitely bad" instead.
-    auto eval = [&](const std::vector<double> &x) {
+    auto counted = [&](double v) {
         ++result.evaluations;
-        double v = objective(x);
         if (!std::isfinite(v)) {
             static auto &nans = obs::MetricsRegistry::global().counter(
                 names::kMetricAnnealNanObjectives);
@@ -118,6 +173,9 @@ dualAnnealing(const AnnealObjective &objective,
             return std::numeric_limits<double>::infinity();
         }
         return v;
+    };
+    auto eval = [&](const std::vector<double> &x) {
+        return counted(objective.score(x));
     };
 
     std::vector<double> current(dim);
@@ -173,15 +231,15 @@ dualAnnealing(const AnnealObjective &objective,
 
         // Alternate full-vector moves and single-coordinate moves
         // (SciPy's strategy chain, condensed).
+        visit.setTemperature(temperature);
         candidate = current;
         if (iter % 2 == 1) {
             for (size_t i = 0; i < dim; ++i)
-                candidate[i] = wrap(current[i] + visit.step(temperature),
-                                    lo[i], hi[i]);
+                candidate[i] = wrap(current[i] + visit.step(), lo[i],
+                                    hi[i]);
         } else {
             size_t i = rng.uniformInt(static_cast<uint32_t>(dim));
-            candidate[i] = wrap(current[i] + visit.step(temperature),
-                                lo[i], hi[i]);
+            candidate[i] = wrap(current[i] + visit.step(), lo[i], hi[i]);
         }
 
         double f_candidate = eval(candidate);
@@ -215,8 +273,10 @@ dualAnnealing(const AnnealObjective &objective,
         // objective is piecewise constant (it maps coordinates to
         // discrete approximation choices), so a gradient-based local
         // phase would see zero slope; a grid sweep per coordinate is
-        // the faithful equivalent.
+        // the faithful equivalent. Every probe is a one-coordinate
+        // move from the incumbent, the objective's base point.
         constexpr int grid = 16;
+        objective.setBase(result.x);
         bool improved = true;
         for (int round = 0; round < 4 && improved; ++round) {
             improved = false;
@@ -227,14 +287,14 @@ dualAnnealing(const AnnealObjective &objective,
                     improved = false;
                     break;
                 }
-                std::vector<double> probe = result.x;
                 for (int g = 0; g < grid; ++g) {
-                    probe[i] = lo[i] + (hi[i] - lo[i]) *
-                                           (g + 0.5) / grid;
-                    double f = eval(probe);
+                    const double xi =
+                        lo[i] + (hi[i] - lo[i]) * (g + 0.5) / grid;
+                    double f = counted(objective.scoreMove(i, xi));
                     if (f < result.value) {
                         result.value = f;
-                        result.x = probe;
+                        result.x[i] = xi;
+                        objective.setBase(result.x);
                         improved = true;
                     }
                 }

@@ -12,6 +12,7 @@
 #ifndef QUEST_ANNEAL_DUAL_ANNEALING_HH
 #define QUEST_ANNEAL_DUAL_ANNEALING_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -25,6 +26,29 @@ namespace quest {
 /** Objective over a box-bounded vector. */
 using AnnealObjective =
     std::function<double(const std::vector<double> &x)>;
+
+/**
+ * An objective that can also score one-coordinate moves from a base
+ * point. The local polish sets the base once and then probes one
+ * coordinate at a time, so an objective that caches per-point state
+ * (the STEP-3 selection objective) scores each probe as a delta
+ * instead of from scratch. scoreMove(i, xi) must return exactly what
+ * score() returns for the base with coordinate i set to xi.
+ */
+class CoordinateObjective
+{
+  public:
+    virtual ~CoordinateObjective() = default;
+
+    /** Objective at @p x. */
+    virtual double score(const std::vector<double> &x) const = 0;
+
+    /** Make @p x the base point of later scoreMove() calls. */
+    virtual void setBase(const std::vector<double> &x) = 0;
+
+    /** Objective at the base point with coordinate @p i set to @p xi. */
+    virtual double scoreMove(size_t i, double xi) = 0;
+};
 
 /** Dual-annealing options (defaults follow SciPy's). */
 struct AnnealOptions
@@ -63,6 +87,13 @@ struct AnnealResult
 /**
  * Minimize @p objective over the box [lo_i, hi_i]^d.
  */
+AnnealResult dualAnnealing(CoordinateObjective &objective,
+                           const std::vector<double> &lo,
+                           const std::vector<double> &hi,
+                           const AnnealOptions &options = {});
+
+/** The same search over a plain function: each polish probe
+ *  evaluates it on the base point with one coordinate replaced. */
 AnnealResult dualAnnealing(const AnnealObjective &objective,
                            const std::vector<double> &lo,
                            const std::vector<double> &hi,

@@ -18,18 +18,22 @@ SelectionObjective::SelectionObjective(
                  "cnot weight must be in [0, 1]");
 }
 
+int
+SelectionObjective::index(size_t b, double xb) const
+{
+    const int count = static_cast<int>(result.blockApprox[b].size());
+    int idx = static_cast<int>(std::floor(xb * count));
+    return std::clamp(idx, 0, count - 1);
+}
+
 std::vector<int>
 SelectionObjective::toChoice(const std::vector<double> &x) const
 {
     QUEST_ASSERT(x.size() == result.blockApprox.size(),
                  "coordinate arity mismatch");
     std::vector<int> choice(x.size());
-    for (size_t b = 0; b < x.size(); ++b) {
-        const int count =
-            static_cast<int>(result.blockApprox[b].size());
-        int idx = static_cast<int>(std::floor(x[b] * count));
-        choice[b] = std::clamp(idx, 0, count - 1);
-    }
+    for (size_t b = 0; b < x.size(); ++b)
+        choice[b] = index(b, x[b]);
     return choice;
 }
 
@@ -51,6 +55,50 @@ SelectionObjective::cnots(const std::vector<int> &choice) const
     return sum;
 }
 
+size_t
+SelectionObjective::similar(size_t b, int i, int j) const
+{
+    const size_t count = result.blockApprox[b].size();
+    return result.blockSimilar[b][static_cast<size_t>(i) * count +
+                                  static_cast<size_t>(j)]
+               ? 1
+               : 0;
+}
+
+std::vector<size_t>
+SelectionObjective::similarCounts(const std::vector<int> &choice) const
+{
+    std::vector<size_t> counts(selected.size(), 0);
+    for (size_t s = 0; s < selected.size(); ++s)
+        for (size_t b = 0; b < choice.size(); ++b)
+            counts[s] += similar(b, choice[b], selected[s][b]);
+    return counts;
+}
+
+double
+SelectionObjective::feasibleScore(
+    size_t cnots, const std::vector<size_t> &similar_counts) const
+{
+    const double cnorm =
+        result.originalCnots == 0
+            ? 0.0
+            : static_cast<double>(cnots) /
+                  static_cast<double>(result.originalCnots);
+
+    if (selected.empty())
+        return cnorm;  // first sample: pure CNOT minimization
+
+    // Mean over selected samples of the fraction of similar blocks.
+    double total = 0.0;
+    const size_t num_blocks = result.blockApprox.size();
+    for (size_t count : similar_counts)
+        total += static_cast<double>(count) /
+                 static_cast<double>(num_blocks);
+    const double similarity = total / static_cast<double>(selected.size());
+
+    return cnotWeight * cnorm + (1.0 - cnotWeight) * similarity;
+}
+
 double
 SelectionObjective::scoreChoice(const std::vector<int> &choice) const
 {
@@ -61,39 +109,63 @@ SelectionObjective::scoreChoice(const std::vector<int> &choice) const
         // the feasible region; anything >= 1.0 is never selected.
         return 1.0 + (b - threshold);
     }
-
-    const double cnorm =
-        result.originalCnots == 0
-            ? 0.0
-            : static_cast<double>(cnots(choice)) /
-                  static_cast<double>(result.originalCnots);
-
-    if (selected.empty())
-        return cnorm;  // first sample: pure CNOT minimization
-
-    // Mean over selected samples of the fraction of similar blocks.
-    double total = 0.0;
-    const size_t num_blocks = choice.size();
-    for (const auto &s : selected) {
-        size_t similar = 0;
-        for (size_t b = 0; b < num_blocks; ++b) {
-            const size_t count = result.blockApprox[b].size();
-            similar += result.blockSimilar[b][choice[b] * count + s[b]]
-                           ? 1
-                           : 0;
-        }
-        total += static_cast<double>(similar) /
-                 static_cast<double>(num_blocks);
-    }
-    const double similarity = total / static_cast<double>(selected.size());
-
-    return cnotWeight * cnorm + (1.0 - cnotWeight) * similarity;
+    return feasibleScore(cnots(choice), similarCounts(choice));
 }
 
 double
-SelectionObjective::operator()(const std::vector<double> &x) const
+SelectionObjective::score(const std::vector<double> &x) const
 {
     return scoreChoice(toChoice(x));
+}
+
+void
+SelectionObjective::setBase(const std::vector<double> &x)
+{
+    baseChoice = toChoice(x);
+    const size_t num_blocks = baseChoice.size();
+    baseDistance.resize(num_blocks);
+    prefixBound.resize(num_blocks);
+    double sum = 0.0;
+    for (size_t b = 0; b < num_blocks; ++b) {
+        prefixBound[b] = sum;
+        baseDistance[b] = result.blockApprox[b][baseChoice[b]].distance;
+        sum += baseDistance[b];
+    }
+    baseCnots = cnots(baseChoice);
+    baseSimilar = similarCounts(baseChoice);
+    moveSimilar.resize(baseSimilar.size());
+    baseScore = scoreChoice(baseChoice);
+}
+
+double
+SelectionObjective::scoreMove(size_t b, double xb)
+{
+    QUEST_ASSERT(b < baseChoice.size(), "move outside the base point");
+    const int from = baseChoice[b];
+    const int to = index(b, xb);
+    if (to == from)
+        return baseScore;  // scoreChoice() of the base choice itself
+
+    // bound()'s additions in bound()'s order: the sum before block b,
+    // the moved block, then every later block of the base.
+    const BlockApprox &moved = result.blockApprox[b][to];
+    double sum = prefixBound[b] + moved.distance;
+    for (size_t j = b + 1; j < baseDistance.size(); ++j)
+        sum += baseDistance[j];
+    if (sum > threshold)
+        return 1.0 + (sum - threshold);
+
+    // Integer deltas: exact whatever the order.
+    const size_t cnots =
+        baseCnots -
+        static_cast<size_t>(result.blockApprox[b][from].cnotCount) +
+        static_cast<size_t>(moved.cnotCount);
+    for (size_t s = 0; s < selected.size(); ++s) {
+        const int other = selected[s][b];
+        moveSimilar[s] = baseSimilar[s] - similar(b, from, other) +
+                         similar(b, to, other);
+    }
+    return feasibleScore(cnots, moveSimilar);
 }
 
 } // namespace quest

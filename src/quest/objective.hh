@@ -7,8 +7,10 @@
 #ifndef QUEST_QUEST_OBJECTIVE_HH
 #define QUEST_QUEST_OBJECTIVE_HH
 
+#include <cstddef>
 #include <vector>
 
+#include "anneal/dual_annealing.hh"
 #include "quest/result.hh"
 
 namespace quest {
@@ -22,8 +24,14 @@ namespace quest {
  *   - w * cnorm + (1 - w) * similarity otherwise, where similarity
  *     is the mean over selected samples of the fraction of blocks
  *     whose approximations are "similar" (Alg. 1 line 13).
+ *
+ * As the annealer's CoordinateObjective, it caches its base choice's
+ * per-block distances, their running sums in block order, its CNOT
+ * total and its similar-block count per selected sample, so a
+ * one-block move is scored from integer deltas and the bound's own
+ * additions after the moved block, bit for bit as scoreChoice().
  */
-class SelectionObjective
+class SelectionObjective final : public CoordinateObjective
 {
   public:
     /**
@@ -44,7 +52,11 @@ class SelectionObjective
     double scoreChoice(const std::vector<int> &choice) const;
 
     /** Annealer-facing objective over [0, 1)^numBlocks. */
-    double operator()(const std::vector<double> &x) const;
+    double score(const std::vector<double> &x) const override;
+
+    void setBase(const std::vector<double> &x) override;
+
+    double scoreMove(size_t b, double xb) override;
 
     /** Distance bound (sum of chosen block distances). */
     double bound(const std::vector<int> &choice) const;
@@ -53,10 +65,33 @@ class SelectionObjective
     size_t cnots(const std::vector<int> &choice) const;
 
   private:
+    /** Approximation index of coordinate @p xb of block @p b. */
+    int index(size_t b, double xb) const;
+
+    /** 1 if block @p b's approximations @p i and @p j are similar. */
+    size_t similar(size_t b, int i, int j) const;
+
+    /** Similar-block count of @p choice per selected sample. */
+    std::vector<size_t> similarCounts(const std::vector<int> &choice) const;
+
+    /** Score of a choice within the threshold, from its CNOT total
+     *  and its similar-block count per selected sample. */
+    double feasibleScore(size_t cnots,
+                         const std::vector<size_t> &similar_counts) const;
+
     const QuestResult &result;
     const std::vector<std::vector<int>> &selected;
     double threshold;
     double cnotWeight;
+
+    // The base point of scoreMove().
+    std::vector<int> baseChoice;
+    std::vector<double> baseDistance;   //!< per block
+    std::vector<double> prefixBound;    //!< sum of blocks before b
+    size_t baseCnots = 0;
+    std::vector<size_t> baseSimilar;    //!< per selected sample
+    double baseScore = 0.0;
+    std::vector<size_t> moveSimilar;    //!< scoreMove() scratch
 };
 
 } // namespace quest

@@ -1,6 +1,7 @@
 #include "quest/pipeline.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <set>
@@ -171,7 +172,22 @@ QuestResult::meanSampleCnots() const
 QuestPipeline::QuestPipeline(QuestConfig config)
     : cfg(std::move(config))
 {
-    QUEST_ASSERT(cfg.maxSamples >= 1, "need at least one sample");
+    // These knobs arrive from CLI flags and QSV1 CompileOptions, so a
+    // bad value is the caller's error, not an invariant: fail typed,
+    // where an assert would take a serving daemon down with one job.
+    auto reject = [](const std::string &message) {
+        throw resilience::QuestError(
+            resilience::ErrorCategory::InvalidInput, message);
+    };
+    if (cfg.maxSamples < 1)
+        reject(detail::concat("max samples must be at least 1, got ",
+                              cfg.maxSamples));
+    if (cfg.maxBlockSize < 2)
+        reject(detail::concat("block size must be at least 2, got ",
+                              cfg.maxBlockSize));
+    if (!std::isfinite(cfg.thresholdPerBlock))
+        reject(detail::concat("threshold must be finite, got ",
+                              cfg.thresholdPerBlock));
     QUEST_ASSERT(cfg.maxApproxPerBlock >= 2,
                  "need at least two approximations per block");
     if (!cfg.cacheDir.empty() && !cfg.sharedCache) {

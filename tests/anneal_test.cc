@@ -10,6 +10,8 @@
 #include <numbers>
 
 #include "anneal/dual_annealing.hh"
+#include "quest/objective.hh"
+#include "selection_state.hh"
 
 namespace quest {
 namespace {
@@ -134,6 +136,32 @@ TEST(DualAnnealing, CountsEvaluations)
     AnnealResult r = dualAnnealing(f, {0.0}, {1.0}, opts);
     EXPECT_GT(r.evaluations, 50);
     EXPECT_LE(r.evaluations, 150);
+}
+
+TEST(DualAnnealing, CoordinatePathMatchesFunctionPath)
+{
+    // The selection objective's delta-scored polish probes must walk
+    // the same trajectory as full evaluations of a plain function.
+    Rng rng(5);
+    const QuestResult state = randomSelectionState(rng, 120);
+    const size_t blocks = state.blockApprox.size();
+    for (size_t num_selected : {0, 3}) {
+        const auto selected = randomChoices(rng, state, num_selected);
+        SelectionObjective objective(state, selected, 0.5, 0.5);
+        AnnealObjective function = [&](const std::vector<double> &x) {
+            return objective.scoreChoice(objective.toChoice(x));
+        };
+        const std::vector<double> lo(blocks, 0.0), hi(blocks, 1.0);
+        AnnealOptions opts;
+        opts.seed = 11;
+        opts.initial = std::vector<double>(blocks, 0.0);
+        const AnnealResult direct = dualAnnealing(objective, lo, hi, opts);
+        const AnnealResult through = dualAnnealing(function, lo, hi, opts);
+        EXPECT_EQ(direct.x, through.x);
+        EXPECT_EQ(direct.value, through.value);
+        EXPECT_EQ(direct.evaluations, through.evaluations);
+        EXPECT_LT(direct.value, 1.0);  // found a feasible choice
+    }
 }
 
 TEST(DualAnnealing, BadBoundsPanic)

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "quest/objective.hh"
+#include "selection_state.hh"
 
 namespace quest {
 namespace {
@@ -141,12 +147,72 @@ TEST(SelectionObjective, CnotWeightExtremes)
     EXPECT_NEAR(pure_sim.scoreChoice({1, 1}), 1.0, 1e-12);
 }
 
-TEST(SelectionObjective, OperatorMatchesScoreChoice)
+TEST(SelectionObjective, ScoreMatchesScoreChoice)
 {
     QuestResult state = makeState();
     std::vector<std::vector<int>> selected;
     SelectionObjective obj(state, selected, state.threshold, 0.5);
-    EXPECT_EQ(obj({0.4, 0.6}), obj.scoreChoice(obj.toChoice({0.4, 0.6})));
+    EXPECT_EQ(obj.score({0.4, 0.6}),
+              obj.scoreChoice(obj.toChoice({0.4, 0.6})));
+}
+
+TEST(SelectionObjective, ScoreMoveMatchesScoreChoiceBitExact)
+{
+    // Every one-block move from several bases, at the polish's 16
+    // grid points, must score bit for bit as scoreChoice() of the
+    // edited choice. The threshold sits a few ulps either side of the
+    // base's bound, so moves land on both sides of it, and the spread
+    // distances make any reordering of the bound's sum show.
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    Rng rng(31);
+    size_t feasible = 0, infeasible = 0;
+    for (int trial = 0; trial < 2; ++trial) {
+        const QuestResult state = randomSelectionState(rng, 300);
+        const size_t blocks = state.blockApprox.size();
+        auto random_point = [&] {
+            std::vector<double> x(blocks);
+            for (double &v : x)
+                v = rng.uniform();
+            return x;
+        };
+        for (size_t num_selected : {0, 1, 5, 16}) {
+            const auto selected = randomChoices(rng, state, num_selected);
+            for (int base = 0; base < 2; ++base) {
+                const std::vector<double> x = random_point();
+                const std::vector<double> stale = random_point();
+                const SelectionObjective measure(state, selected, 0.0, 0.5);
+                const double base_bound = measure.bound(measure.toChoice(x));
+                for (double toward : {-inf, inf}) {
+                    double threshold = base_bound;
+                    for (int ulp = 0; ulp < 3; ++ulp)
+                        threshold = std::nextafter(threshold, toward);
+                    SelectionObjective obj(state, selected, threshold, 0.5);
+                    obj.setBase(stale);  // re-basing must replace it all
+                    obj.setBase(x);
+                    std::vector<double> edited = x;
+                    for (size_t b = 0; b < blocks; ++b) {
+                        for (int g = 0; g < 16; ++g) {
+                            edited[b] = (g + 0.5) / 16;
+                            const std::vector<int> choice =
+                                obj.toChoice(edited);
+                            const double want = obj.scoreChoice(choice);
+                            const double got = obj.scoreMove(b, edited[b]);
+                            ASSERT_EQ(std::bit_cast<uint64_t>(got),
+                                      std::bit_cast<uint64_t>(want))
+                                << "block " << b << " grid " << g << " with "
+                                << num_selected << " selected: " << got
+                                << " vs " << want;
+                            ++(obj.bound(choice) > threshold ? infeasible
+                                                             : feasible);
+                        }
+                        edited[b] = x[b];
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(feasible, 0u);
+    EXPECT_GT(infeasible, 0u);
 }
 
 } // namespace

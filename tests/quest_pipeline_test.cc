@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -25,6 +26,7 @@
 #include "resilience/error.hh"
 #include "resilience/thread_pool.hh"
 #include "sim/simulator.hh"
+#include "util/names.hh"
 
 namespace quest {
 namespace {
@@ -518,6 +520,34 @@ TEST(SelectionModes, FullModeRejectsCircuitsItCannotMeasure)
                   std::string::npos)
             << "the error must point at the --large escape hatch";
     }
+}
+
+TEST(Pipeline, RejectsInvalidConfigWithTypedError)
+{
+    // User-reachable knobs fail as InvalidInput (exit 10) at
+    // construction, never as an assert that aborts the process.
+    auto expect_invalid = [](const QuestConfig &cfg, const char *what) {
+        try {
+            QuestPipeline pipeline(cfg);
+            FAIL() << what << ": expected QuestError(InvalidInput)";
+        } catch (const resilience::QuestError &e) {
+            EXPECT_EQ(e.category(), resilience::ErrorCategory::InvalidInput)
+                << what;
+            EXPECT_EQ(e.exitCode(), names::kExitInvalidInput) << what;
+        }
+    };
+    QuestConfig zero_samples = leanConfig();
+    zero_samples.maxSamples = 0;
+    expect_invalid(zero_samples, "max samples 0");
+    QuestConfig one_qubit_blocks = leanConfig();
+    one_qubit_blocks.maxBlockSize = 1;
+    expect_invalid(one_qubit_blocks, "block size 1");
+    QuestConfig nan_threshold = leanConfig();
+    nan_threshold.thresholdPerBlock = std::nan("");
+    expect_invalid(nan_threshold, "NaN threshold");
+    QuestConfig inf_threshold = leanConfig();
+    inf_threshold.thresholdPerBlock = HUGE_VAL;
+    expect_invalid(inf_threshold, "infinite threshold");
 }
 
 TEST(SelectionModes, BlockBoundDeterministicAcrossThreadCounts)

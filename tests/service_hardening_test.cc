@@ -7,8 +7,9 @@
  * the rest, bounded `result --wait` degrades to Retry frames, the
  * self-healing client reconnects through injected socket faults with
  * a deterministic backoff schedule, submission-key dedup makes a
- * retried submit run exactly once, and an executor crash finalizes
- * the job as Internal without taking the daemon down.
+ * retried submit run exactly once, an executor crash finalizes the
+ * job as Internal without taking the daemon down, and an invalid
+ * compile option fails its job as InvalidInput instead.
  */
 
 #include <gtest/gtest.h>
@@ -625,6 +626,47 @@ TEST(ServiceHardening, ExecutorCrashFinalizesJobDaemonSurvives)
     ASSERT_TRUE(next.accepted);
     EXPECT_EQ(client.result(next.jobId).status.state, JobState::Done);
     server.stop();
+}
+
+// ---- invalid compile options -------------------------------------
+
+TEST(ServiceHardening, InvalidOptionsFailTypedAndRestartServes)
+{
+    TempDir tmp;
+    ServerConfig config;
+    config.executors = 1;
+    config.stateDir = (tmp.path / "state").string();
+    {
+        QuestServer server(config);
+        QuestClient client = connectLocal(server);
+        SubmitRequest no_samples = tinyRequest();
+        no_samples.options.maxSamples = 0;
+        SubmitRequest one_qubit_blocks = tinyRequest(0.4);
+        one_qubit_blocks.options.blockSize = 1;
+        for (const SubmitRequest &bad : {no_samples, one_qubit_blocks}) {
+            const SubmitReply reply = client.submit(bad);
+            ASSERT_TRUE(reply.accepted);
+            const ResultReply result = client.result(reply.jobId);
+            EXPECT_EQ(result.status.state, JobState::Failed);
+            EXPECT_EQ(result.status.exitCode, names::kExitInvalidInput)
+                << result.status.detail;
+        }
+        // The same executor serves the next valid job.
+        const SubmitReply good = client.submit(tinyRequest(0.5));
+        ASSERT_TRUE(good.accepted);
+        EXPECT_EQ(client.result(good.jobId).status.state, JobState::Done);
+        server.stop();
+    }
+
+    // Every job landed a terminal record, so a restart on the same
+    // state directory replays nothing and serves.
+    QuestServer restarted(config);
+    EXPECT_EQ(restarted.replayedJobs(), 0u);
+    QuestClient client = connectLocal(restarted);
+    const SubmitReply next = client.submit(tinyRequest(0.6));
+    ASSERT_TRUE(next.accepted);
+    EXPECT_EQ(client.result(next.jobId).status.state, JobState::Done);
+    restarted.stop();
 }
 
 } // namespace

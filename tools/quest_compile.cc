@@ -52,6 +52,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -163,8 +164,10 @@ runCompile(int argc, char **argv)
             } else if (arg == "--seed") {
                 config.seed = std::stoull(value);
             } else if (arg == "--threads") {
-                config.threads =
-                    static_cast<unsigned>(std::stoul(value));
+                const int threads = std::stoi(value);
+                if (threads < 0)
+                    throw std::invalid_argument("negative thread count");
+                config.threads = static_cast<unsigned>(threads);
             } else if (arg == "--timeout") {
                 config.runTimeoutSeconds = std::stod(value);
             } else if (arg == "--block-timeout") {
