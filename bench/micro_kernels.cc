@@ -4,7 +4,9 @@
  * QUEST pipeline: statevector gate application, HS distance, dense
  * unitary builds (serial, pooled and block-sized), gradient
  * evaluation and its one-lane trace and row kernels, instantiation,
- * annealing steps and whole STEP-3 selection runs.
+ * annealing steps and whole STEP-3 selection runs; and the warm path
+ * of a cache hit: structural verification, QASM writing and a whole
+ * synthesize() served from a QSC1 directory.
  *
  * Besides the google-benchmark suite, main() measures instantiation
  * throughput directly and archives it as BENCH_instantiation.json
@@ -18,16 +20,23 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <string>
 
 #include "algos/algorithms.hh"
 #include "anneal/dual_annealing.hh"
 #include "bench_common.hh"
+#include "cache/synthesis_cache.hh"
 #include "ir/lower.hh"
+#include "ir/qasm.hh"
 #include "linalg/distance.hh"
+#include "partition/scan_partitioner.hh"
 #include "quest/objective.hh"
+#include "quest/pipeline.hh"
 #include "resilience/thread_pool.hh"
+#include "service/job.hh"
 #include "sim/statevector.hh"
 #include "sim/unitary_builder.hh"
 #include "synth/batch/batch_kernels.hh"
@@ -36,6 +45,7 @@
 #include "synth/instantiater.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
+#include "verify/verifier.hh"
 
 namespace {
 
@@ -350,6 +360,110 @@ BM_AnnealSelection(benchmark::State &state)
 }
 BENCHMARK(BM_AnnealSelection)->Arg(87)->Arg(475)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * CircuitVerifier over a clean native circuit with the options a
+ * cache hit's deep validation uses. Arg: gate count.
+ */
+void
+BM_VerifyCircuit(benchmark::State &state)
+{
+    const size_t gates = static_cast<size_t>(state.range(0));
+    Rng rng(17);
+    Circuit c(4);
+    for (size_t i = 0; i < gates; ++i) {
+        const int q = static_cast<int>(rng.uniformInt(4));
+        if (i % 3 == 2)
+            c.append(Gate::cx(q, (q + 1) % 4));
+        else
+            c.append(Gate::u3(q, rng.uniform(-3.0, 3.0),
+                              rng.uniform(-3.0, 3.0),
+                              rng.uniform(-3.0, 3.0)));
+    }
+    const CircuitVerifier verifier({.requireNative = true,
+                                    .allowPseudoOps = false,
+                                    .maxIssues = 1});
+    for (auto _ : state)
+        benchmark::DoNotOptimize(verifier.verify(c).ok());
+}
+BENCHMARK(BM_VerifyCircuit)->Arg(64)->Arg(4096);
+
+/**
+ * toQasm of the samples of one compiled circuit, as the service
+ * writes every job's result. Arg: sample count (the compile's samples
+ * repeat when it yields fewer).
+ */
+void
+BM_ToQasm(benchmark::State &state)
+{
+    QuestConfig cfg = service::baseCompileConfig();
+    cfg.maxSamples = static_cast<int>(state.range(0));
+    cfg.threads = 2;
+    const QuestResult result =
+        QuestPipeline(cfg).run(algos::qaoa(5, 1, 3));
+    std::vector<const Circuit *> samples;
+    for (size_t i = 0; i < static_cast<size_t>(state.range(0)); ++i)
+        samples.push_back(
+            &result.samples[i % result.samples.size()].circuit);
+    for (auto _ : state)
+        for (const Circuit *c : samples)
+            benchmark::DoNotOptimize(toQasm(*c));
+}
+BENCHMARK(BM_ToQasm)->Arg(16);
+
+/**
+ * LeapSynthesizer::synthesize served from a warm QSC1 directory: the
+ * cache key, the entry load and decode, and the deep validation of
+ * every candidate. The target is adder_4's costliest 4-qubit block,
+ * synthesized once (cold) with the shipped settings
+ * (service::baseCompileConfig) to warm the directory.
+ */
+void
+BM_SynthesizeCacheHit(benchmark::State &state)
+{
+    const Circuit native = lowerToNative(algos::adder(4));
+    const std::vector<Block> blocks = ScanPartitioner(4).partition(
+        native.withoutPseudoOps());
+    const Block &block = *std::max_element(
+        blocks.begin(), blocks.end(), [](const Block &a, const Block &b) {
+            return a.circuit.cnotCount() < b.circuit.cnotCount();
+        });
+    std::vector<std::pair<int, int>> skeleton;
+    for (const Gate &g : block.circuit)
+        if (g.type == GateType::CX)
+            skeleton.emplace_back(g.qubits[0], g.qubits[1]);
+    const Matrix target = circuitUnitary(block.circuit);
+
+    std::string dir = (std::filesystem::temp_directory_path() /
+                       "quest-micro-cache-XXXXXX")
+                          .string();
+    if (!mkdtemp(dir.data())) {
+        state.SkipWithError("mkdtemp failed");
+        return;
+    }
+    {
+        cache::SynthesisCache disk({.dir = dir});
+        SynthConfig cfg = service::baseCompileConfig().synth;
+        cfg.threads = 2;
+        cfg.cache = &disk;
+        const LeapSynthesizer synth(cfg);
+        const int max_cnots = static_cast<int>(skeleton.size());
+        const SynthOutput warm =
+            synth.synthesize(target, max_cnots, &skeleton);
+        size_t gates = 0;
+        for (const SynthCandidate &c : warm.candidates)
+            gates += c.circuit.size();
+        state.counters["candidates"] =
+            static_cast<double>(warm.candidates.size());
+        state.counters["gates"] = static_cast<double>(gates);
+        for (auto _ : state)
+            benchmark::DoNotOptimize(
+                synth.synthesize(target, max_cnots, &skeleton));
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+}
+BENCHMARK(BM_SynthesizeCacheHit)->Unit(benchmark::kMicrosecond);
 
 /** Mean milliseconds per call of @p fn over @p iters calls. */
 double

@@ -1,10 +1,11 @@
 #include "ir/qasm.hh"
 
 #include <cctype>
-#include <cmath>
+#include <charconv>
 #include <map>
 #include <numbers>
-#include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "util/logging.hh"
 
@@ -12,14 +13,47 @@ namespace quest {
 
 namespace {
 
-/** Render a parameter with enough digits to round-trip. */
-std::string
-formatParam(double value)
+/** Append an integer in decimal. */
+void
+appendInt(std::string &out, int value)
 {
-    std::ostringstream os;
-    os.precision(17);
-    os << value;
-    return os.str();
+    char buf[16];
+    const auto res = std::to_chars(buf, buf + sizeof buf, value);
+    out.append(buf, res.ptr);
+}
+
+/** Append a parameter as printf's "%.17g" in the C locale, whatever
+ *  the global locale: enough digits to round-trip. */
+void
+appendParam(std::string &out, double value)
+{
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, value,
+                                   std::chars_format::general, 17);
+    out.append(buf, res.ptr);
+}
+
+/**
+ * Parse all of @p token as a T. from_chars rounds like strtod but,
+ * unlike std::stod/stoi, accepts subnormals and never drops an
+ * unparsed tail; a malformed or out-of-range token is a QasmError
+ * naming it.
+ */
+template <typename T>
+T
+parseNumber(std::string_view token, const char *what)
+{
+    T value{};
+    const char *end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec == std::errc::result_out_of_range) {
+        throw QasmError(
+            detail::concat(what, " out of range: '", token, "'"));
+    }
+    if (ec != std::errc() || ptr != end)
+        throw QasmError(detail::concat("malformed ", what, ": '", token,
+                                       "'"));
+    return value;
 }
 
 // ---------------------------------------------------------------
@@ -129,7 +163,8 @@ class ExprParser
         }
         if (pos == start)
             throw QasmError("expected number in expression: " + text);
-        return std::stod(text.substr(start, pos - start));
+        return parseNumber<double>(
+            std::string_view(text).substr(start, pos - start), "number");
     }
 
     const std::string &text;
@@ -208,7 +243,8 @@ parseIndex(const std::string &ref, const std::string &reg_name)
     std::string name = trim(ref.substr(0, open));
     if (!reg_name.empty() && name != reg_name)
         throw QasmError("unknown register '" + name + "' in: " + ref);
-    return std::stoi(ref.substr(open + 1, close - open - 1));
+    return parseNumber<int>(trim(ref.substr(open + 1, close - open - 1)),
+                            "register index");
 }
 
 } // namespace
@@ -216,38 +252,50 @@ parseIndex(const std::string &ref, const std::string &reg_name)
 std::string
 toQasm(const Circuit &circuit)
 {
-    std::ostringstream os;
-    os << "OPENQASM 2.0;\n";
-    os << "include \"qelib1.inc\";\n";
-    os << "qreg q[" << circuit.numQubits() << "];\n";
-    if (circuit.hasMeasurements())
-        os << "creg c[" << circuit.numQubits() << "];\n";
+    std::string out = "OPENQASM 2.0;\n";
+    out += "include \"qelib1.inc\";\n";
+    out += "qreg q[";
+    appendInt(out, circuit.numQubits());
+    out += "];\n";
+    if (circuit.hasMeasurements()) {
+        out += "creg c[";
+        appendInt(out, circuit.numQubits());
+        out += "];\n";
+    }
 
     for (const Gate &g : circuit) {
         if (g.type == GateType::Measure) {
-            os << "measure q[" << g.qubits[0] << "] -> c["
-               << g.qubits[0] << "];\n";
+            out += "measure q[";
+            appendInt(out, g.qubits[0]);
+            out += "] -> c[";
+            appendInt(out, g.qubits[0]);
+            out += "];\n";
             continue;
         }
-        os << gateName(g.type);
+        out += gateName(g.type);
         if (!g.params.empty()) {
-            os << "(";
+            out += '(';
             for (size_t i = 0; i < g.params.size(); ++i) {
                 if (i)
-                    os << ",";
-                os << formatParam(g.params[i]);
+                    out += ',';
+                appendParam(out, g.params[i]);
             }
-            os << ")";
+            out += ')';
         }
-        os << " ";
+        out += ' ';
         for (size_t i = 0; i < g.qubits.size(); ++i) {
             if (i)
-                os << ",";
-            os << "q[" << g.qubits[i] << "]";
+                out += ',';
+            out += "q[";
+            appendInt(out, g.qubits[i]);
+            out += ']';
         }
-        os << ";\n";
+        out += ";\n";
     }
-    return os.str();
+    // Callers keep the text (the service stores every sample's QASM
+    // with its job), so hand it back without spare capacity.
+    out.shrink_to_fit();
+    return out;
 }
 
 Circuit

@@ -107,9 +107,13 @@ CircuitVerifier::verify(const Circuit &circuit) const
     std::vector<bool> measured(static_cast<size_t>(n), false);
     bool in_measurement_suffix = false;
 
-    for (size_t i = 0; i < circuit.size(); ++i) {
+    // A full report records nothing more, so stop checking there.
+    for (size_t i = 0; i < circuit.size() && report.issues.size() < cap;
+         ++i) {
         const Gate &g = circuit[i];
-        const std::string rendered = g.toString();
+        // Rendered only into the message of an issue that is pushed:
+        // a clean gate costs no text.
+        const auto rendered = [&g] { return g.toString(); };
 
         // Arity: Barrier is variadic (>= 1 wire); everything else
         // must match its GateType exactly.
@@ -120,7 +124,7 @@ CircuitVerifier::verify(const Circuit &circuit) const
             }
         } else if (arity != gateArity(g.type)) {
             pushIssue(report, cap, i,
-                      detail::concat(rendered, " — arity ", arity,
+                      detail::concat(rendered(), " — arity ", arity,
                                      " does not match ",
                                      gateName(g.type), "'s arity of ",
                                      gateArity(g.type)));
@@ -133,7 +137,7 @@ CircuitVerifier::verify(const Circuit &circuit) const
             if (q < 0 || q >= n) {
                 wires_in_range = false;
                 pushIssue(report, cap, i,
-                          detail::concat(rendered, " — wire ", q,
+                          detail::concat(rendered(), " — wire ", q,
                                          " outside circuit of ", n,
                                          " qubits"));
             }
@@ -142,7 +146,7 @@ CircuitVerifier::verify(const Circuit &circuit) const
             for (size_t b = a + 1; b < g.qubits.size(); ++b) {
                 if (g.qubits[a] == g.qubits[b]) {
                     pushIssue(report, cap, i,
-                              detail::concat(rendered,
+                              detail::concat(rendered(),
                                              " — duplicate wire ",
                                              g.qubits[a]));
                 }
@@ -153,7 +157,7 @@ CircuitVerifier::verify(const Circuit &circuit) const
         if (static_cast<int>(g.params.size()) !=
             gateParamCount(g.type)) {
             pushIssue(report, cap, i,
-                      detail::concat(rendered, " — ", g.params.size(),
+                      detail::concat(rendered(), " — ", g.params.size(),
                                      " parameters; ", gateName(g.type),
                                      " takes ",
                                      gateParamCount(g.type)));
@@ -161,7 +165,7 @@ CircuitVerifier::verify(const Circuit &circuit) const
         for (double p : g.params) {
             if (!std::isfinite(p)) {
                 pushIssue(report, cap, i,
-                          detail::concat(rendered,
+                          detail::concat(rendered(),
                                          " — non-finite parameter"));
                 break;
             }
@@ -170,13 +174,13 @@ CircuitVerifier::verify(const Circuit &circuit) const
         // Gate-set restrictions.
         if (!opts.allowPseudoOps && isPseudoOp(g.type)) {
             pushIssue(report, cap, i,
-                      detail::concat(rendered,
+                      detail::concat(rendered(),
                                      " — pseudo-op not allowed here"));
         }
         if (opts.requireNative && g.type != GateType::U3 &&
             g.type != GateType::CX && g.type != GateType::Measure) {
             pushIssue(report, cap, i,
-                      detail::concat(rendered, " — ", gateName(g.type),
+                      detail::concat(rendered(), " — ", gateName(g.type),
                                      " outside the native {u3, cx} "
                                      "set"));
         }
@@ -191,7 +195,7 @@ CircuitVerifier::verify(const Circuit &circuit) const
             if (wires_in_range && q >= 0) {
                 if (measured[static_cast<size_t>(q)]) {
                     pushIssue(report, cap, i,
-                              detail::concat(rendered,
+                              detail::concat(rendered(),
                                              " — wire ", q,
                                              " measured twice"));
                 }
@@ -200,7 +204,7 @@ CircuitVerifier::verify(const Circuit &circuit) const
         } else if (in_measurement_suffix &&
                    g.type != GateType::Barrier) {
             pushIssue(report, cap, i,
-                      detail::concat(rendered,
+                      detail::concat(rendered(),
                                      " — gate after a measurement "
                                      "(measurements must be a "
                                      "trailing suffix)"));

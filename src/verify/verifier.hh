@@ -70,7 +70,9 @@ struct CircuitVerifyOptions
  * the GateType, finite parameter values; and, per circuit: a
  * positive wire count, measurements only as a trailing suffix, at
  * most one measurement per wire, and (optionally) native-gate-set
- * conformance.
+ * conformance. It runs on every synthesis-cache hit, so a clean
+ * circuit costs no text: a gate is rendered only into the message of
+ * an issue the report records.
  */
 class CircuitVerifier
 {

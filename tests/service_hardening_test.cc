@@ -9,7 +9,8 @@
  * a deterministic backoff schedule, submission-key dedup makes a
  * retried submit run exactly once, an executor crash finalizes the
  * job as Internal without taking the daemon down, and an invalid
- * compile option fails its job as InvalidInput instead.
+ * compile option or a malformed number in the QASM fails its job as
+ * InvalidInput instead.
  */
 
 #include <gtest/gtest.h>
@@ -625,6 +626,41 @@ TEST(ServiceHardening, ExecutorCrashFinalizesJobDaemonSurvives)
     const SubmitReply next = client.submit(tinyRequest(0.5));
     ASSERT_TRUE(next.accepted);
     EXPECT_EQ(client.result(next.jobId).status.state, JobState::Done);
+    server.stop();
+}
+
+// ---- malformed QASM numbers ---------------------------------------
+
+TEST(ServiceHardening, MalformedQasmNumberFailsTypedWithoutCrash)
+{
+    ServerConfig config;
+    config.executors = 1;
+    QuestServer server(config);
+    QuestClient client = connectLocal(server);
+
+    const uint64_t crashBefore =
+        counterValue(names::kMetricServiceExecutorCrashes);
+    for (const char *stmt :
+         {"rz(.) q[0];", "rz(e5) q[0];", "rz(1e999) q[0];",
+          "rz(1e-400) q[0];", "rz(1.5.5) q[0];", "h q[];",
+          "h q[99999999999];", "h q[1x];"}) {
+        SubmitRequest bad = tinyRequest();
+        bad.qasm = std::string("OPENQASM 2.0;\nqreg q[2];\n") + stmt +
+                   "\ncx q[0],q[1];\n";
+        const SubmitReply reply = client.submit(bad);
+        ASSERT_TRUE(reply.accepted) << stmt;
+        const ResultReply result = client.result(reply.jobId);
+        EXPECT_EQ(result.status.state, JobState::Failed) << stmt;
+        EXPECT_EQ(result.status.exitCode, names::kExitInvalidInput)
+            << stmt << ": " << result.status.detail;
+    }
+    EXPECT_EQ(counterValue(names::kMetricServiceExecutorCrashes),
+              crashBefore);
+
+    // The same executor serves the next valid job.
+    const SubmitReply good = client.submit(tinyRequest(0.5));
+    ASSERT_TRUE(good.accepted);
+    EXPECT_EQ(client.result(good.jobId).status.state, JobState::Done);
     server.stop();
 }
 

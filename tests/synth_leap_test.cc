@@ -2,18 +2,30 @@
  * @file
  * LEAP synthesizer tests. Synthesis settings are kept lean so the
  * suite stays fast; quality assertions are correspondingly loose.
+ * A fake cache hook feeds synthesize() loaded outputs that must fail
+ * its deep validation.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <numbers>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "algos/algorithms.hh"
+#include "cache/codec.hh"
 #include "ir/lower.hh"
+#include "ir/qasm.hh"
 #include "linalg/decompose.hh"
 #include "linalg/distance.hh"
+#include "obs/metrics.hh"
 #include "synth/instantiater.hh"
 #include "synth/leap_synthesizer.hh"
+#include "synth/synth_cache.hh"
+#include "util/names.hh"
 #include "util/rng.hh"
 
 namespace quest {
@@ -293,6 +305,174 @@ TEST(Leap, RejectsNonUnitaryTarget)
     bad(0, 0) = 2.0;
     LeapSynthesizer synth(leanConfig());
     EXPECT_DEATH(synth.synthesize(bad, 3), "unitary");
+}
+
+// ---- Deep validation of cache-loaded outputs. -----------------------
+
+/** Serves one fixed output for every key and records the calls. */
+class FakeCacheHook : public SynthCacheHook
+{
+  public:
+    explicit FakeCacheHook(SynthOutput served) : served(std::move(served))
+    {}
+
+    std::optional<SynthOutput>
+    load(const std::string &) override
+    {
+        return served;
+    }
+
+    void
+    store(const std::string &key, const SynthOutput &) override
+    {
+        stored.push_back(key);
+    }
+
+    void
+    invalidate(const std::string &key) override
+    {
+        invalidated.push_back(key);
+    }
+
+    SynthOutput served;
+    std::vector<std::string> stored;
+    std::vector<std::string> invalidated;
+};
+
+uint64_t
+counterValue(const char *name)
+{
+    return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/** Whether @p out survives a QSC1 payload encode/decode. */
+bool
+passesCodec(const SynthOutput &out)
+{
+    ByteWriter w;
+    cache::encodeSynthOutput(w, out);
+    ByteReader r(w.buffer());
+    try {
+        cache::decodeSynthOutput(r);
+        return true;
+    } catch (const SerializeError &) {
+        return false;
+    }
+}
+
+void
+expectSameOutput(const SynthOutput &expected, const SynthOutput &actual)
+{
+    ASSERT_EQ(expected.candidates.size(), actual.candidates.size());
+    EXPECT_EQ(expected.bestIndex, actual.bestIndex);
+    for (size_t i = 0; i < expected.candidates.size(); ++i) {
+        const SynthCandidate &e = expected.candidates[i];
+        const SynthCandidate &a = actual.candidates[i];
+        EXPECT_EQ(e.distance, a.distance) << "candidate " << i;
+        EXPECT_EQ(e.cnotCount, a.cnotCount) << "candidate " << i;
+        EXPECT_EQ(toQasm(e.circuit), toQasm(a.circuit)) << "candidate " << i;
+    }
+}
+
+class LoadedOutputValidation : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        target = circuitUnitary(lowerToNative(algos::tfim(2, 2)));
+        fresh = LeapSynthesizer(leanConfig()).synthesize(target, kCnots);
+        ASSERT_GE(fresh.candidates.size(), 2u);
+        key = synthesisCacheKey(target, kCnots, nullptr, leanConfig());
+    }
+
+    /** synthesize() of the fixture target through @p hook. */
+    SynthOutput
+    synthesizeServing(FakeCacheHook &hook)
+    {
+        SynthConfig cfg = leanConfig();
+        cfg.cache = &hook;
+        return LeapSynthesizer(cfg).synthesize(target, kCnots);
+    }
+
+    static constexpr int kCnots = 4;
+    Matrix target;
+    SynthOutput fresh;
+    std::string key;
+};
+
+TEST_F(LoadedOutputValidation, CleanOutputIsServed)
+{
+    SynthOutput served = fresh;
+    served.candidates.resize(1);  // distinguishable from a search
+    served.bestIndex = 0;
+    FakeCacheHook hook(served);
+    const uint64_t hits = counterValue(names::kMetricSynthCacheHits);
+    const uint64_t corrupt = counterValue(names::kMetricCacheCorrupt);
+
+    expectSameOutput(served, synthesizeServing(hook));
+    EXPECT_TRUE(hook.invalidated.empty());
+    EXPECT_TRUE(hook.stored.empty());
+    EXPECT_EQ(counterValue(names::kMetricSynthCacheHits), hits + 1);
+    EXPECT_EQ(counterValue(names::kMetricCacheCorrupt), corrupt);
+}
+
+TEST_F(LoadedOutputValidation, EachBadOutputIsInvalidatedAndResynthesized)
+{
+    struct Corruption
+    {
+        const char *what;
+        bool passesCodec; //!< the QSC1 decoder alone would accept it
+        std::function<void(SynthOutput &)> apply;
+    };
+    const Corruption corruptions[] = {
+        {"non-native gate", true,
+         [](SynthOutput &o) {
+             o.candidates.back().circuit.append(Gate::h(0));
+         }},
+        {"NaN angle", true,
+         [](SynthOutput &o) {
+             // Every candidate opens with a layer of U3s.
+             Gate &u3 = o.candidates.back().circuit[0];
+             ASSERT_EQ(u3.type, GateType::U3);
+             u3.params[1] = std::numeric_limits<double>::quiet_NaN();
+         }},
+        {"wrong wire count", true,
+         [](SynthOutput &o) {
+             Circuit wide(3);
+             wide.appendCircuit(o.candidates[0].circuit);
+             o.candidates[0].circuit = std::move(wide);
+         }},
+        {"negative distance", true,
+         [](SynthOutput &o) { o.candidates.back().distance = -1e-9; }},
+        {"NaN distance", true,
+         [](SynthOutput &o) {
+             o.candidates[0].distance =
+                 std::numeric_limits<double>::quiet_NaN();
+         }},
+        {"cnotCount contradicting its circuit", false,
+         [](SynthOutput &o) { o.candidates.back().cnotCount += 1; }},
+        {"bestIndex out of range", false,
+         [](SynthOutput &o) { o.bestIndex = o.candidates.size(); }},
+    };
+
+    for (const Corruption &c : corruptions) {
+        SCOPED_TRACE(c.what);
+        SynthOutput bad = fresh;
+        c.apply(bad);
+        EXPECT_EQ(passesCodec(bad), c.passesCodec);
+
+        FakeCacheHook hook(bad);
+        const uint64_t corrupt = counterValue(names::kMetricCacheCorrupt);
+        const uint64_t hits = counterValue(names::kMetricSynthCacheHits);
+        const SynthOutput got = synthesizeServing(hook);
+
+        EXPECT_EQ(hook.invalidated, std::vector<std::string>{key});
+        EXPECT_EQ(hook.stored, std::vector<std::string>{key});
+        EXPECT_EQ(counterValue(names::kMetricCacheCorrupt), corrupt + 1);
+        EXPECT_EQ(counterValue(names::kMetricSynthCacheHits), hits);
+        expectSameOutput(fresh, got);
+    }
 }
 
 } // namespace

@@ -4,13 +4,19 @@
  * synthesizer and pipeline produce must lint clean, and hand-built
  * malformed circuits (bad wire, wrong arity, CX self-loop,
  * non-finite angle, non-covering partition, ...) must be rejected
- * with a useful message.
+ * with a useful message. Every CircuitVerifier message is pinned in
+ * full, and an operator-new probe checks that a clean circuit is
+ * verified without building any per-gate text.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
 
 #include "algos/algorithms.hh"
 #include "ir/lower.hh"
@@ -18,6 +24,80 @@
 #include "quest/pipeline.hh"
 #include "synth/leap_synthesizer.hh"
 #include "verify/verifier.hh"
+
+// ---------------------------------------------------------------------
+// Global allocation probe: counts every operator-new in this test
+// binary. Assertions snapshot the counter around a measured region;
+// the replacement itself never allocates. The nothrow forms are
+// replaced too (std::stable_sort's buffer uses them), so that under
+// AddressSanitizer every block is freed by the allocator that made it.
+namespace {
+std::atomic<uint64_t> g_allocation_count{0};
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n ? n : 1);
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    if (void *p = operator new(n, std::nothrow))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t n)
+{
+    return operator new(n);
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return operator new(n, std::nothrow);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+// ---------------------------------------------------------------------
 
 namespace quest {
 namespace {
@@ -246,6 +326,197 @@ TEST(CircuitVerifier, RespectsIssueCap)
         c[i].qubits[0] = 42;
     CircuitVerifier capped({.maxIssues = 3});
     EXPECT_EQ(capped.verify(c).issues.size(), 3u);
+}
+
+// ---- Exact message text of every check. ----------------------------
+
+/** The messages @p verifier records for @p c, in order. */
+std::vector<std::string>
+messages(const CircuitVerifier &verifier, const Circuit &c)
+{
+    std::vector<std::string> out;
+    for (const VerifyIssue &issue : verifier.verify(c).issues)
+        out.push_back(issue.message);
+    return out;
+}
+
+using Messages = std::vector<std::string>;
+
+TEST(CircuitVerifierMessages, NoWires)
+{
+    EXPECT_EQ(messages(CircuitVerifier(), Circuit()),
+              Messages{"circuit has no wires (default-constructed?)"});
+}
+
+TEST(CircuitVerifierMessages, BarrierWithNoWires)
+{
+    Circuit c(2);
+    c.append(Gate::barrier({0, 1}));
+    c[0].qubits.clear();
+    EXPECT_EQ(messages(CircuitVerifier(), c),
+              Messages{"barrier with no wires"});
+}
+
+TEST(CircuitVerifierMessages, Arity)
+{
+    Circuit c = nativeFixture();
+    c[1].qubits.pop_back();
+    EXPECT_EQ(messages(CircuitVerifier(), c),
+              Messages{"cx q[0]; — arity 1 does not match cx's arity "
+                       "of 2"});
+}
+
+TEST(CircuitVerifierMessages, WireOutOfRange)
+{
+    Circuit c(2);
+    c.append(Gate::cx(0, 1));
+    c[0].qubits[1] = 99;
+    EXPECT_EQ(messages(CircuitVerifier(), c),
+              Messages{"cx q[0],q[99]; — wire 99 outside circuit of 2 "
+                       "qubits"});
+}
+
+TEST(CircuitVerifierMessages, DuplicateWire)
+{
+    Circuit c = nativeFixture();
+    c[3].qubits[0] = 2;
+    EXPECT_EQ(messages(CircuitVerifier(), c),
+              Messages{"cx q[2],q[2]; — duplicate wire 2"});
+}
+
+TEST(CircuitVerifierMessages, ParameterCount)
+{
+    Circuit c = nativeFixture();
+    c[0].params.pop_back();
+    EXPECT_EQ(messages(CircuitVerifier(), c),
+              Messages{"u3(0.1,0.2) q[0]; — 2 parameters; u3 takes 3"});
+}
+
+TEST(CircuitVerifierMessages, NonFiniteParameter)
+{
+    Circuit c = nativeFixture();
+    c[2].params[1] = std::numeric_limits<double>::infinity();
+    c[2].params[2] = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(messages(CircuitVerifier(), c),
+              Messages{"u3(-0.4,inf,nan) q[1]; — non-finite parameter"});
+}
+
+TEST(CircuitVerifierMessages, PseudoOpNotAllowed)
+{
+    Circuit c(2);
+    c.append(Gate::cx(0, 1));
+    c.append(Gate::barrier({0, 1}));
+    EXPECT_EQ(messages(CircuitVerifier({.allowPseudoOps = false}), c),
+              Messages{"barrier q[0],q[1]; — pseudo-op not allowed "
+                       "here"});
+}
+
+TEST(CircuitVerifierMessages, NonNative)
+{
+    Circuit c(2);
+    c.append(Gate::rzz(0, 1, 0.25));
+    EXPECT_EQ(messages(CircuitVerifier({.requireNative = true}), c),
+              Messages{"rzz(0.25) q[0],q[1]; — rzz outside the native "
+                       "{u3, cx} set"});
+}
+
+TEST(CircuitVerifierMessages, MeasuredTwice)
+{
+    Circuit c(2);
+    c.append(Gate::measure(1));
+    c.append(Gate::measure(1));
+    EXPECT_EQ(messages(CircuitVerifier(), c),
+              Messages{"measure q[1]; — wire 1 measured twice"});
+}
+
+TEST(CircuitVerifierMessages, GateAfterMeasurement)
+{
+    Circuit c(2);
+    c.append(Gate::measure(0));
+    c.append(Gate::barrier({0, 1}));  // barriers may follow
+    c.append(Gate::h(1));
+    EXPECT_EQ(messages(CircuitVerifier(), c),
+              Messages{"h q[1]; — gate after a measurement "
+                       "(measurements must be a trailing suffix)"});
+}
+
+TEST(CircuitVerifierMessages, SeveralIssuesInOrderUpToTheCap)
+{
+    // One gate, three checks failing, in the order verify() runs
+    // them; the cap keeps the first two.
+    Circuit c(2);
+    c.append(Gate::h(0));
+    c[0].qubits = {7, 7};
+    c[0].params = {std::numeric_limits<double>::quiet_NaN()};
+    const Messages all = {
+        "h(nan) q[7],q[7]; — arity 2 does not match h's arity of 1",
+        "h(nan) q[7],q[7]; — wire 7 outside circuit of 2 qubits",
+        "h(nan) q[7],q[7]; — wire 7 outside circuit of 2 qubits",
+        "h(nan) q[7],q[7]; — duplicate wire 7",
+        "h(nan) q[7],q[7]; — 1 parameters; h takes 0",
+        "h(nan) q[7],q[7]; — non-finite parameter",
+        "h(nan) q[7],q[7]; — h outside the native {u3, cx} set"};
+    EXPECT_EQ(messages(CircuitVerifier({.requireNative = true}), c), all);
+    EXPECT_EQ(messages(CircuitVerifier({.requireNative = true,
+                                        .maxIssues = 2}),
+                       c),
+              Messages(all.begin(), all.begin() + 2));
+}
+
+TEST(VerifyReport, RendersIssueLines)
+{
+    Circuit c(2);
+    c.append(Gate::cx(0, 1));
+    c.append(Gate::h(1));
+    c[0].qubits[1] = 99;
+    EXPECT_EQ(CircuitVerifier({.requireNative = true}).verify(c).toString(),
+              "gate 0: cx q[0],q[99]; — wire 99 outside circuit of 2 "
+              "qubits\n"
+              "gate 1: h q[1]; — h outside the native {u3, cx} set");
+}
+
+// ---- Cost: a clean circuit builds no text. -------------------------
+
+/** A clean native circuit of @p gates gates on 4 wires. */
+Circuit
+cleanNative(size_t gates)
+{
+    Circuit c(4);
+    for (size_t i = 0; i < gates; ++i) {
+        const int q = static_cast<int>(i % 4);
+        if (i % 3 == 2)
+            c.append(Gate::cx(q, (q + 1) % 4));
+        else
+            c.append(Gate::u3(q, 0.1 * static_cast<double>(i), -0.7, 2.5));
+    }
+    return c;
+}
+
+/** Allocations made by one verify() of @p c. */
+uint64_t
+verifyAllocations(const CircuitVerifier &verifier, const Circuit &c)
+{
+    const uint64_t before =
+        g_allocation_count.load(std::memory_order_relaxed);
+    const VerifyReport report = verifier.verify(c);
+    const uint64_t after =
+        g_allocation_count.load(std::memory_order_relaxed);
+    EXPECT_TRUE(report.ok()) << report.toString();
+    return after - before;
+}
+
+TEST(CircuitVerifierCost, CleanCircuitAllocationsDoNotGrowWithGates)
+{
+    const Circuit small = cleanNative(10);
+    const Circuit large = cleanNative(10000);
+    for (const CircuitVerifier &verifier :
+         {CircuitVerifier(),
+          CircuitVerifier({.requireNative = true,
+                           .allowPseudoOps = false,
+                           .maxIssues = 1})}) {
+        EXPECT_EQ(verifyAllocations(verifier, small),
+                  verifyAllocations(verifier, large));
+    }
 }
 
 TEST(VerifyReport, RendersGateIndexAndMessage)
