@@ -43,8 +43,10 @@
 #include "synth/batch/batched_hs_cost.hh"
 #include "synth/hs_cost.hh"
 #include "synth/instantiater.hh"
+#include "synth/lbfgs.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
+#include "util/vector_ops.hh"
 #include "verify/verifier.hh"
 
 namespace {
@@ -191,7 +193,7 @@ struct LanePlanes
     {
         Rng rng(11);
         for (size_t i = 0; i < 4; ++i) {
-            kern::batch::fitAligned(buf[i], plane[i], dim * dim);
+            simd::fitAligned(buf[i], plane[i], dim * dim);
             for (size_t e = 0; e < dim * dim; ++e)
                 plane[i][e] = rng.uniform(-1.0, 1.0);
         }
@@ -275,6 +277,38 @@ BM_InstantiationArmedBudget(benchmark::State &state)
         benchmark::DoNotOptimize(instantiate(target, a, rng, opts));
 }
 BENCHMARK(BM_InstantiationArmedBudget);
+
+/**
+ * One L-BFGS run with an O(n) objective (the extended Rosenbrock
+ * function), so the time is the optimizer's own bookkeeping: the
+ * two-loop recursion over its history, the history updates and the
+ * line search, at instantiation-sized parameter counts.
+ */
+void
+BM_LbfgsMinimize(benchmark::State &state)
+{
+    const size_t n = static_cast<size_t>(state.range(0));
+    std::vector<double> x0(n);
+    for (size_t i = 0; i < n; ++i)
+        x0[i] = i % 2 == 0 ? -1.2 : 1.0;
+    const GradObjective rosenbrock = [](const std::vector<double> &x,
+                                        std::vector<double> *g) {
+        double v = 0.0;
+        g->assign(x.size(), 0.0);
+        for (size_t i = 0; i + 1 < x.size(); ++i) {
+            const double a = x[i + 1] - x[i] * x[i], b = 1.0 - x[i];
+            v += 100.0 * a * a + b * b;
+            (*g)[i] += -400.0 * x[i] * a - 2.0 * b;
+            (*g)[i + 1] += 200.0 * a;
+        }
+        return v;
+    };
+    LbfgsOptions opts;
+    opts.maxIterations = 100;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(lbfgsMinimize(rosenbrock, x0, opts));
+}
+BENCHMARK(BM_LbfgsMinimize)->Arg(24)->Arg(96);
 
 /** The raw cost of one budget poll, unbounded vs armed. */
 void

@@ -182,10 +182,7 @@ circuitUnitary(const Circuit &circuit)
     QUEST_ASSERT(n <= 12, "circuitUnitary limited to 12 qubits; use "
                  "buildUnitary (sim/unitary_builder.hh) for larger "
                  "circuits");
-    const size_t dim = size_t{1} << n;
-    Matrix u(dim, dim);
-    unitaryColumns(circuit, 0, dim, u.data().data());
-    return u;
+    return UnitaryPlan(circuit).unitary();
 }
 
 } // namespace quest

@@ -99,7 +99,7 @@ class Circuit
 };
 
 /**
- * Full unitary of a circuit (measurements ignored), built by the row
+ * Full unitary of a circuit (measurements ignored), built by the slab
  * kernel of ir/unitary_kernel.hh; meant for block unitaries. For
  * larger circuits use buildUnitary (sim/unitary_builder.hh), which
  * gives the same bytes. Panics above 12 qubits.

@@ -71,24 +71,28 @@ void
 drainBatch(Batch &b)
 {
     for (;;) {
-        if (b.cancel && b.cancel->cancelled()) {
-            // Retire every unclaimed index without running it. The
-            // exchange hands this drainer the range [i, count); other
-            // drainers racing here (or past the end on the normal
-            // path) observe i >= count and account nothing twice.
-            size_t i = b.next.exchange(b.count,
-                                       std::memory_order_relaxed);
-            if (i < b.count) {
-                std::lock_guard<std::mutex> lock(b.m);
-                b.done += b.count - i;
-                if (b.done == b.count)
-                    b.doneCv.notify_all();
-            }
-            return;
-        }
+        // Claim first: the caller's CancelToken is only known to be
+        // alive while this thread holds an index not yet counted done
+        // (parallelFor cannot return before then). A helper that
+        // starts after the batch has finished claims an out-of-range
+        // index and never reads the token.
         size_t i = b.next.fetch_add(1, std::memory_order_relaxed);
         if (i >= b.count)
             return;
+        if (b.cancel && b.cancel->cancelled()) {
+            // Retire the claimed index and every unclaimed one without
+            // running them. The exchange hands this drainer the range
+            // [j, count); other drainers racing here (or past the end
+            // on the normal path) observe j >= count and account
+            // nothing twice.
+            size_t j = b.next.exchange(b.count, std::memory_order_relaxed);
+            size_t retired = 1 + (j < b.count ? b.count - j : 0);
+            std::lock_guard<std::mutex> lock(b.m);
+            b.done += retired;
+            if (b.done == b.count)
+                b.doneCv.notify_all();
+            return;
+        }
         runBatchIndex(b, i);
     }
 }
@@ -193,9 +197,10 @@ ThreadPool::parallelFor(size_t count, const std::function<void(size_t)> &fn,
 
     // Helper jobs hold the batch alive; one that starts after the
     // batch is finished claims an out-of-range index and returns
-    // without touching `fn` (whose lifetime ends when this call
-    // returns — guaranteed because done == count implies every
-    // invocation of fn has completed).
+    // without touching `fn` or `cancel`, whose lifetimes end when this
+    // call returns. Both are read only by a thread holding a claimed
+    // index that is not yet counted done, and done == count implies
+    // every such thread has finished with them.
     const size_t helpers =
         std::min(count, static_cast<size_t>(workers.size()));
     for (size_t h = 0; h < helpers; ++h)

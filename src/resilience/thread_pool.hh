@@ -14,10 +14,11 @@
  * hardware no matter how the levels nest.
  *
  * parallelFor optionally takes a CancelToken: once the token fires,
- * no *unclaimed* index starts. Indices already claimed by a thread
- * run to completion (the callback is expected to poll its own Budget
- * at iteration boundaries), so cancellation latency is bounded by
- * one callback invocation, and the done-accounting stays exact.
+ * no further index starts. A thread checks the token after claiming
+ * an index and before running it; indices already running complete
+ * (the callback is expected to poll its own Budget at iteration
+ * boundaries), so cancellation latency is bounded by one callback
+ * invocation, and the done-accounting stays exact.
  */
 
 #ifndef QUEST_RESILIENCE_THREAD_POOL_HH
@@ -82,10 +83,11 @@ class ThreadPool
      * busy.
      *
      * When @p cancel is non-null and fires mid-batch, indices not yet
-     * claimed are skipped (never invoked); parallelFor still waits
+     * started are skipped (never invoked); parallelFor still waits
      * for every in-flight invocation, returns normally, and leaves it
-     * to the caller to observe the token. Exceptions thrown by @p fn
-     * are rethrown as usual.
+     * to the caller to observe the token. @p cancel need only outlive
+     * the call: no pool thread reads it afterwards. Exceptions thrown
+     * by @p fn are rethrown as usual.
      */
     void parallelFor(size_t count, const std::function<void(size_t)> &fn,
                      const resilience::CancelToken *cancel = nullptr);

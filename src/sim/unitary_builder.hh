@@ -4,11 +4,11 @@
  * the Full-mode certify (the Fig. 7 bound validation).
  *
  * Gates are applied in place to the rows of identity columns by the
- * row kernel of ir/unitary_kernel.hh, O(2^k N^2) per k-qubit gate,
- * giving the same bytes as circuitUnitary. The pooled overload
- * splits the columns into 32-column slabs and builds each in a
- * private contiguous buffer on one pool thread; since every column
- * is built on its own, the result is bit-identical to the serial
+ * slab kernel of ir/unitary_kernel.hh, O(2^k N^2) per k-qubit gate,
+ * giving the same bytes as circuitUnitary. Both overloads build the
+ * columns in 32-column slabs, each in private split re/im planes;
+ * the pooled one hands the slabs to the pool's threads. Every column
+ * is built on its own, so the result is bit-identical to the serial
  * build for any thread count.
  */
 

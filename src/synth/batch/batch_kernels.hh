@@ -25,17 +25,17 @@
  * of its sums in column order, and traceTarget adds its products one
  * at a time.
  *
- * Three implementations of each table are compiled: a portable
- * scalar loop (always available, and the only one in a
- * QUEST_SIMD=OFF build), AVX2 and AVX-512. The memory layout and the
- * per-element arithmetic are ISA-independent; dispatch picks the
- * widest ISA the host supports, subject to the QUEST_SIMD
- * environment override (util/cpu.hh), for both evaluators alike.
- * Bit-identity across ISAs additionally requires that no
- * multiply-add be contracted into an FMA — the x86-64 baseline
- * scalar build has no FMA — so the kernel translation units are
- * compiled with -ffp-contract=off and use separate mul/add/sub
- * intrinsics.
+ * Three implementations of each table are compiled, from the loop
+ * bodies of batch_kernels_impl.hh and the vector-ops policies of
+ * util/vector_ops.hh: a portable loop (always available, and the
+ * only one in a QUEST_SIMD=OFF build), AVX2 and AVX-512. The memory
+ * layout and the per-element arithmetic are ISA-independent;
+ * util::activeSimdIsa() picks the table, the same dispatch the
+ * dense-unitary kernels use. Bit-identity across ISAs additionally
+ * requires that no multiply-add be contracted into an FMA — the
+ * x86-64 baseline scalar build has no FMA — so the kernel
+ * translation units are compiled with -ffp-contract=off and use
+ * separate mul/add/sub intrinsics.
  *
  * Like the scalar table, dims 2/4/8/16 get fully specialized
  * variants via constant propagation and wider dims fall back to
@@ -47,8 +47,8 @@
 #define QUEST_SYNTH_BATCH_BATCH_KERNELS_HH
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
+
+#include "util/cpu.hh"
 
 namespace quest::kern::batch {
 
@@ -59,17 +59,6 @@ namespace quest::kern::batch {
  * independent of the dispatched ISA.
  */
 inline constexpr size_t kLanes = 8;
-
-/** Which kernel implementation the dispatcher selected. */
-enum class SimdIsa
-{
-    Scalar,
-    Avx2,
-    Avx512,
-};
-
-/** Human-readable ISA name ("scalar" / "avx2" / "avx512"). */
-const char *simdIsaName(SimdIsa isa);
 
 /**
  * One dimension's batched kernel dispatch table.
@@ -178,28 +167,8 @@ struct OneLaneKernelSet
 };
 
 /**
- * Point @p base at the first 64-byte-aligned element of @p v, growing
- * @p v so at least @p n doubles follow it. Returns true when @p v had
- * to grow. A 64-byte base keeps every vector load/store within one
- * cache line; vector<double>'s own data() is only 16-byte aligned.
- * Plain operator new throughout: the allocation-probe tests override
- * only the plain operators.
- */
-inline bool
-fitAligned(std::vector<double> &v, double *&base, size_t n)
-{
-    // +7 doubles of slack so the aligned base still has room.
-    const bool grew = v.size() < n + 7;
-    if (grew)
-        v.resize(n + 7);
-    auto addr = reinterpret_cast<uintptr_t>(v.data());
-    base = v.data() + ((-addr & 63) / sizeof(double));
-    return grew;
-}
-
-/**
  * The batched kernel table for a dim x dim block under the
- * process-wide dispatched ISA (see activeSimdIsa). Call once at
+ * process-wide dispatched ISA (util::activeSimdIsa). Call once at
  * cost-object construction and reuse the reference.
  */
 const BatchKernelSet &batchKernelsFor(size_t dim);
@@ -209,22 +178,16 @@ const BatchKernelSet &batchKernelsFor(size_t dim);
  * compiled out or the host CPU lacks it. Test hook: the parity suite
  * runs every available ISA against the scalar reference.
  */
-const BatchKernelSet *batchKernelsForIsa(SimdIsa isa, size_t dim);
+const BatchKernelSet *batchKernelsForIsa(util::SimdIsa isa, size_t dim);
 
-/**
- * The ISA the process-wide dispatch resolved to: the widest the
- * build and the host support, capped by the QUEST_SIMD override.
- * Cached after the first call.
- */
-SimdIsa activeSimdIsa();
-
-/** The one-lane table for a dim x dim block under activeSimdIsa();
- *  call once at cost-object construction. */
+/** The one-lane table for a dim x dim block under
+ *  util::activeSimdIsa(); call once at cost-object construction. */
 const OneLaneKernelSet &oneLaneKernelsFor(size_t dim);
 
 /** The one-lane table for a specific ISA, or nullptr when that ISA
  *  is unavailable (parity-test hook, as batchKernelsForIsa). */
-const OneLaneKernelSet *oneLaneKernelsForIsa(SimdIsa isa, size_t dim);
+const OneLaneKernelSet *oneLaneKernelsForIsa(util::SimdIsa isa,
+                                             size_t dim);
 
 } // namespace quest::kern::batch
 

@@ -3,9 +3,9 @@
  * 4-wide __m256d registers cover the 8-lane batch, and a one-lane
  * row is processed 4 columns at a time (2 with __m128d for a dim-2
  * block). Compiled with -mavx2 -ffp-contract=off (see
- * src/synth/CMakeLists.txt); the QUEST_BATCH_COMPILE_AVX2 macro is
- * only defined when those flags are in effect, so a build without
- * them (QUEST_SIMD=OFF, non-x86) gets the nullptr stub instead of
+ * src/CMakeLists.txt); the QUEST_SIMD_COMPILE_AVX2 macro is only
+ * defined when those flags are in effect, so a build without them
+ * (QUEST_SIMD=OFF, non-x86) gets the nullptr stub instead of
  * unbuildable intrinsics.
  *
  * Separate mul/add/sub intrinsics, never _mm256_fmadd_pd: each
@@ -15,28 +15,29 @@
 
 #include "synth/batch/batch_kernels_tables.hh"
 
-#if defined(QUEST_BATCH_COMPILE_AVX2)
+#if defined(QUEST_SIMD_COMPILE_AVX2)
 
 #include "synth/batch/batch_kernels_impl.hh"
-#include "synth/batch/batch_kernels_x86.hh"
+#include "util/vector_ops.hh"
 
 namespace quest::kern::batch {
 
 const BatchKernelSet *
 avx2BatchKernelsFor(size_t dim)
 {
-    return &impl::tableForDim<VAvx2>(dim);
+    return &impl::tableForDim<simd::VAvx2>(dim);
 }
 
 const OneLaneKernelSet *
 avx2OneLaneKernelsFor(size_t dim)
 {
-    return &impl::laneTableForDim<VSse2, VAvx2, VAvx2>(dim);
+    return &impl::laneTableForDim<simd::VSse2, simd::VAvx2, simd::VAvx2>(
+        dim);
 }
 
 } // namespace quest::kern::batch
 
-#else // !QUEST_BATCH_COMPILE_AVX2
+#else // !QUEST_SIMD_COMPILE_AVX2
 
 namespace quest::kern::batch {
 

@@ -2,31 +2,12 @@
  * @file
  * Shared loop bodies for the batched and one-lane kernels, templated
  * on a vector-ops policy. Each ISA translation unit instantiates
- * these with its own policies (scalar double, __m128d, __m256d,
- * __m512d), so the loop structure — and therefore the per-element
+ * these with the policies its ISA flags allow (util/vector_ops.hh),
+ * so the loop structure — and therefore the per-element
  * operation order — is written exactly once.
  *
- * A policy V provides:
- *     using Reg = ...;                   // one vector register
- *     static constexpr size_t width;     // lanes per register
- *     static Reg  load(const double *);  // unaligned
- *     static void store(double *, Reg);
- *     static Reg  set1(double);
- *     static Reg  zero();
- *     static Reg  add(Reg, Reg);
- *     static Reg  sub(Reg, Reg);
- *     static Reg  mul(Reg, Reg);
- *
- * A one-lane policy (LaneBodies) also adds reduceTraceT's products
- * into its eight running sums, held as 8 / width registers with sum k
- * in lane k % width of register k / width:
- *     static void addColumns(Reg (&sums)[8 / width],
- *                            const Reg (&t)[8]);
- *                      // sum k += t[k][0], then t[k][1], ...
- *                      // t[k][width-1]
- * The vector policies transpose t in registers (shuffles only move
- * bits) so that one lane-wise add per column feeds every sum, in the
- * reference's column order.
+ * The policies and their contract (including the one-lane
+ * addColumns transpose) are in util/vector_ops.hh.
  *
  * Bit-identity contract: every body is a 1:1 translation of the
  * scalar kernel body in synth/kernels.cc — same loop order, same
@@ -34,11 +15,6 @@
  * (never fused; the including TU must be compiled with
  * -ffp-contract=off). Do not "optimize" an expression here without
  * making the identical change to the scalar kernel.
- *
- * Policies must live in an anonymous namespace of their translation
- * unit: that gives every instantiation internal linkage, so a body
- * compiled with -mavx512f can never be merged into, and then run by,
- * another table.
  */
 
 #ifndef QUEST_SYNTH_BATCH_BATCH_KERNELS_IMPL_HH
@@ -346,7 +322,7 @@ tableForDim(size_t dim)
  * columns (D == 0 means runtime dimension). Each element sees the
  * scalar kernel's exact operations, and every reduction sum takes its
  * terms one at a time in the scalar loop's order. reduceTraceT keeps
- * its eight sums in registers (addColumns, contract above).
+ * its eight sums in registers (addColumns, util/vector_ops.hh).
  * traceTarget's two sums are each one chain of dim * dim adds, which
  * no transpose shortens, so it adds its products from a stack buffer.
  */

@@ -7,6 +7,7 @@
 #include "synth/kernels.hh"
 #include "util/logging.hh"
 #include "util/names.hh"
+#include "util/vector_ops.hh"
 
 namespace quest::synth {
 
@@ -31,7 +32,7 @@ BatchedHsWorkspace::ensure(size_t dim, size_t opCount, size_t u3Count)
 {
     constexpr size_t L = kern::batch::kLanes;
     const size_t ddL = dim * dim * L;
-    using kern::batch::fitAligned;
+    using simd::fitAligned;
     bool grew = fitAligned(prefixRe, preRe, (opCount + 1) * ddL);
     grew |= fitAligned(prefixIm, preIm, (opCount + 1) * ddL);
     grew |= fitAligned(backwardRe, bwdRe, ddL);

@@ -50,7 +50,7 @@ struct BatchedHsWorkspace
     std::vector<double> trRe, trIm;  //!< per-lane trace accumulators
 
     /** 64-byte-aligned base of each buffer above, set by ensure()
-     *  (see kern::batch::fitAligned): one lane group is kLanes
+     *  (see simd::fitAligned): one lane group is kLanes
      *  doubles, exactly one cache line. */
     double *preRe = nullptr, *preIm = nullptr;
     double *bwdRe = nullptr, *bwdIm = nullptr;

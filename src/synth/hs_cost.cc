@@ -6,6 +6,7 @@
 #include "synth/kernels.hh"
 #include "util/logging.hh"
 #include "util/names.hh"
+#include "util/vector_ops.hh"
 
 namespace quest {
 
@@ -42,7 +43,7 @@ bool
 HsWorkspace::ensure(size_t dim, size_t opCount, size_t u3Count)
 {
     const size_t dd = dim * dim;
-    using kern::batch::fitAligned;
+    using simd::fitAligned;
     bool grew = fitAligned(prefixRe, preRe, (opCount + 1) * dd);
     grew |= fitAligned(prefixIm, preIm, (opCount + 1) * dd);
     grew |= fitAligned(backwardRe, bwdRe, dd);

@@ -42,7 +42,7 @@ struct HsWorkspace
     std::vector<double> backwardRe, backwardIm;  //!< transposed suffix
     std::vector<Complex> u3Terms;  //!< per U3 op: 4 entries + 3*4 derivs
 
-    /** Aligned bases of the planes above (see kern::batch::fitAligned),
+    /** Aligned bases of the planes above (see simd::fitAligned),
      *  set by ensure(). */
     double *preRe = nullptr, *preIm = nullptr;
     double *bwdRe = nullptr, *bwdIm = nullptr;

@@ -22,7 +22,7 @@ namespace {
 
 /** Which ISA served a batched call (one counter per table). */
 obs::Counter &
-dispatchCounter(kern::batch::SimdIsa isa)
+dispatchCounter(util::SimdIsa isa)
 {
     static auto &avx512 = obs::MetricsRegistry::global().counter(
         names::kMetricSynthSimdDispatchAvx512);
@@ -31,11 +31,11 @@ dispatchCounter(kern::batch::SimdIsa isa)
     static auto &scalar = obs::MetricsRegistry::global().counter(
         names::kMetricSynthSimdDispatchScalar);
     switch (isa) {
-      case kern::batch::SimdIsa::Avx512:
+      case util::SimdIsa::Avx512:
         return avx512;
-      case kern::batch::SimdIsa::Avx2:
+      case util::SimdIsa::Avx2:
         return avx2;
-      case kern::batch::SimdIsa::Scalar:
+      case util::SimdIsa::Scalar:
         break;
     }
     return scalar;
@@ -195,7 +195,7 @@ instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
         } else {
             if (!batched) {
                 batched.emplace(target, ansatz);
-                dispatchCounter(kern::batch::activeSimdIsa()).increment();
+                dispatchCounter(util::activeSimdIsa()).increment();
             }
             std::array<const std::vector<double> *, L> xs{};
             std::array<std::vector<double> *, L> grads{};

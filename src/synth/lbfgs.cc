@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "obs/metrics.hh"
 #include "util/logging.hh"
@@ -41,6 +42,14 @@ LbfgsMachine::LbfgsMachine(std::vector<double> x0,
     direction.resize(n);
     x_new.resize(n);
     grad_new.resize(n);
+    ring.resize(static_cast<size_t>(std::max(0, options.historySize)));
+    for (Pair &p : ring) {
+        p.s.resize(n);
+        p.y.resize(n);
+    }
+    spare.s.resize(n);
+    spare.y.resize(n);
+    alpha_buf.resize(ring.size());
 }
 
 const std::vector<double> &
@@ -105,22 +114,21 @@ LbfgsMachine::beginIteration()
 
     // Two-loop recursion: direction = -H g.
     direction = grad;
-    alpha_buf.assign(history.size(), 0.0);
-    for (size_t h = history.size(); h-- > 0;) {
-        const Pair &p = history[h];
+    for (size_t h = historyCount; h-- > 0;) {
+        const Pair &p = historyPair(h);
         double a = p.rho * dot(p.s, direction);
         alpha_buf[h] = a;
         for (size_t i = 0; i < n; ++i)
             direction[i] -= a * p.y[i];
     }
-    if (!history.empty()) {
-        const Pair &last = history.back();
+    if (historyCount > 0) {
+        const Pair &last = historyPair(historyCount - 1);
         double gamma = dot(last.s, last.y) / dot(last.y, last.y);
         for (double &d : direction)
             d *= gamma;
     }
-    for (size_t h = 0; h < history.size(); ++h) {
-        const Pair &p = history[h];
+    for (size_t h = 0; h < historyCount; ++h) {
+        const Pair &p = historyPair(h);
         double beta = p.rho * dot(p.y, direction);
         for (size_t i = 0; i < n; ++i)
             direction[i] += p.s[i] * (alpha_buf[h] - beta);
@@ -131,7 +139,7 @@ LbfgsMachine::beginIteration()
     dir_deriv = dot(grad, direction);
     if (dir_deriv >= 0.0) {
         // Not a descent direction: reset to steepest descent.
-        history.clear();
+        historyCount = 0;
         for (size_t i = 0; i < n; ++i)
             direction[i] = -grad[i];
         dir_deriv = -dot(grad, grad);
@@ -179,23 +187,26 @@ LbfgsMachine::consume(double fval, std::vector<double> &g)
     grad_new.swap(g);
     constexpr double c1 = 1e-4;
     if (f_new <= f + c1 * step * dir_deriv) {
-        Pair p;
-        p.s.resize(n);
-        p.y.resize(n);
+        Pair &p = spare;
         for (size_t i = 0; i < n; ++i) {
             p.s[i] = x_new[i] - result.x[i];
             p.y[i] = grad_new[i] - grad[i];
         }
         double sy = dot(p.s, p.y);
-        if (sy > 1e-12) {
+        if (sy > 1e-12 && !ring.empty()) {
             p.rho = 1.0 / sy;
-            history.push_back(std::move(p));
-            if (static_cast<int>(history.size()) > options.historySize)
-                history.pop_front();
+            // Append; once the ring is full the slot after the newest
+            // is the oldest pair's, which this drops.
+            std::swap(p, ring[(ringHead + historyCount) % ring.size()]);
+            if (historyCount < ring.size())
+                ++historyCount;
+            else
+                ringHead = (ringHead + 1) % ring.size();
         }
 
         double f_old = f;
-        result.x = x_new;
+        // proposeTrial overwrites all of x_new before it is read again.
+        result.x.swap(x_new);
         grad.swap(grad_new);
         f = f_new;
 

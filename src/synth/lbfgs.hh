@@ -14,7 +14,6 @@
 #ifndef QUEST_SYNTH_LBFGS_HH
 #define QUEST_SYNTH_LBFGS_HH
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -101,8 +100,14 @@ class LbfgsMachine
     {
         std::vector<double> s;
         std::vector<double> y;
-        double rho;
+        double rho = 0.0;
     };
+
+    /** History pair @p h, oldest first (h < historyCount). */
+    const Pair &historyPair(size_t h) const
+    {
+        return ring[(ringHead + h) % ring.size()];
+    }
 
     void beginIteration();
     void proposeTrial();
@@ -117,7 +122,14 @@ class LbfgsMachine
 
     double f = 0.0;
     std::vector<double> grad;
-    std::deque<Pair> history;
+    // The last historySize accepted (s, y, rho) pairs, in a ring
+    // allocated at construction: historyCount of them starting at
+    // ringHead. `spare` takes each new pair; accepting it swaps it
+    // into the ring, so no iteration allocates.
+    std::vector<Pair> ring;
+    size_t ringHead = 0;
+    size_t historyCount = 0;
+    Pair spare;
     std::vector<double> direction, x_new, grad_new, alpha_buf;
 
     // Line-search state.

@@ -1,9 +1,11 @@
 /**
  * @file
- * One-time host CPU feature probe and the QUEST_SIMD runtime
- * override, backing the ISA dispatch of both instantiation
- * evaluators' kernel tables, batched and one-lane
- * (synth/batch/batch_kernels.hh).
+ * The one SIMD dispatch: a one-time host CPU feature probe and the
+ * QUEST_SIMD runtime override, resolved to the ISA every SIMD kernel
+ * table runs on. The instantiation evaluators
+ * (synth/batch/batch_kernels.hh) and the dense-unitary slab kernels
+ * (ir/unitary_kernel.hh) both dispatch on activeSimdIsa(), so one
+ * process never mixes ISAs.
  *
  * Both probes run exactly once per process and cache their answer:
  * the CPUID read and the getenv() call are process-invariant, so the
@@ -18,38 +20,39 @@
 
 namespace quest::util {
 
-/** Instruction-set extensions the host CPU advertises. */
-struct CpuFeatures
+/** Which kernel implementation a table was compiled for. */
+enum class SimdIsa
 {
-    bool avx2 = false;
-    bool avx512f = false;
-};
-
-/** The host's features, probed once and cached. On non-x86 targets
- *  (or compilers without __builtin_cpu_supports) everything is
- *  false. */
-const CpuFeatures &cpuFeatures();
-
-/**
- * Parsed value of the QUEST_SIMD environment variable, read once.
- *
- *   scalar  — the portable scalar kernels (no vector ISA) for both
- *             evaluators; off, 0 and none mean the same
- *   avx2    — cap the dispatch at AVX2
- *   avx512  — request AVX-512 (falls back if the host lacks it)
- *
- * Unset or unrecognized values mean None: dispatch on cpuFeatures().
- */
-enum class SimdOverride
-{
-    None,
     Scalar,
     Avx2,
     Avx512,
 };
 
-/** The cached QUEST_SIMD override (None when unset/unrecognized). */
-SimdOverride simdOverride();
+/** Human-readable ISA name ("scalar" / "avx2" / "avx512"). */
+const char *simdIsaName(SimdIsa isa);
+
+/**
+ * Whether @p isa's kernel units were compiled into this build (the
+ * QUEST_SIMD CMake option, an x86-64 target and a compiler that takes
+ * the -m flag; src/CMakeLists.txt) and the host runs them. The
+ * portable kernels are always available.
+ */
+bool simdIsaAvailable(SimdIsa isa);
+
+/**
+ * The ISA the process-wide dispatch resolved to: the widest
+ * available one, capped by the QUEST_SIMD environment variable, read
+ * once:
+ *
+ *   scalar  — the portable kernels (no vector ISA) for every table;
+ *             off, 0 and none mean the same
+ *   avx2    — cap the dispatch at AVX2
+ *   avx512  — request AVX-512 (falls back if the host lacks it)
+ *
+ * Unset or unrecognized values cap nothing. Cached after the first
+ * call.
+ */
+SimdIsa activeSimdIsa();
 
 } // namespace quest::util
 

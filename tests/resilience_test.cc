@@ -13,11 +13,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -487,6 +490,46 @@ TEST(ThreadPoolCancel, MidRunCancelStopsUnclaimedIndices)
     // skipped. parallelFor itself returned (done-accounting exact).
     EXPECT_GT(ran.load(), 0);
     EXPECT_LT(ran.load(), 10000);
+}
+
+TEST(ThreadPoolCancel, LateHelperNeverReadsTheFreedToken)
+{
+    // Every worker is parked, so parallelFor's helper jobs queue
+    // behind them and the caller runs every index itself. The token
+    // is freed as soon as the call returns, and only then do the
+    // helpers start: one that read the token would be a
+    // heap-use-after-free under AddressSanitizer.
+    constexpr unsigned kWorkers = 3;
+    ThreadPool pool(kWorkers);
+    std::mutex m;
+    std::condition_variable cv;
+    bool released = false;
+    std::atomic<unsigned> parked{0};
+    std::vector<std::future<void>> parkedJobs;
+    for (unsigned w = 0; w < kWorkers; ++w) {
+        parkedJobs.push_back(pool.submit([&] {
+            std::unique_lock<std::mutex> lock(m);
+            parked.fetch_add(1);
+            cv.wait(lock, [&] { return released; });
+        }));
+    }
+    while (parked.load() < kWorkers)
+        std::this_thread::yield();
+
+    auto *token = new CancelToken;
+    std::atomic<int> ran{0};
+    pool.parallelFor(16, [&](size_t) { ran.fetch_add(1); }, token);
+    delete token;
+    EXPECT_EQ(ran.load(), 16);
+
+    {
+        std::lock_guard<std::mutex> lock(m);
+        released = true;
+    }
+    cv.notify_all();
+    for (auto &job : parkedJobs)
+        job.get();
+    // ~ThreadPool runs the queued helpers before it joins.
 }
 
 TEST(ThreadPoolCancel, NullTokenRunsEverything)

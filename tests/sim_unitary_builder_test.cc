@@ -3,17 +3,20 @@
  * Cross-checks buildUnitary against the statevector simulator: column
  * j of the circuit unitary must equal the state obtained by applying
  * the circuit to basis state |j>. Golden digests pin the exact bytes
- * of buildUnitary, its pooled overload and circuitUnitary.
+ * of buildUnitary, its pooled overload and circuitUnitary, and every
+ * slab-kernel table is checked bit for bit against the portable one.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numbers>
 #include <numeric>
 
 #include "algos/algorithms.hh"
 #include "ir/circuit.hh"
 #include "ir/lower.hh"
+#include "ir/unitary_kernel.hh"
 #include "obs/metrics.hh"
 #include "resilience/thread_pool.hh"
 #include "sim/statevector.hh"
@@ -21,6 +24,7 @@
 #include "util/names.hh"
 #include "util/rng.hh"
 #include "util/sha256.hh"
+#include "util/vector_ops.hh"
 
 namespace quest {
 namespace {
@@ -404,6 +408,241 @@ TEST(UnitaryBuilder, PooledMatchesGoldenDigests)
     for (const UnitaryPin &pin : kUnitaryPins) {
         EXPECT_EQ(digestOf(buildUnitary(pin.make(), nullptr)), pin.sha256)
             << pin.name << ", no pool";
+    }
+}
+
+// ---------------------------------------------------------------------
+// Every slab-kernel table against the portable one, bit for bit. The
+// golden digests above run the dispatched table only; these run each
+// table the build and host have, on every gate body, every zero
+// pattern of a one-qubit gate, and operands with signed zeros and
+// 1e-17 entries, at slab widths 1-32 and unitary widths 1-10.
+
+/** The non-portable tables this build and host can run. */
+std::vector<std::pair<util::SimdIsa, const SlabKernelSet *>>
+vectorTables()
+{
+    std::vector<std::pair<util::SimdIsa, const SlabKernelSet *>> out;
+    for (util::SimdIsa isa : {util::SimdIsa::Avx2, util::SimdIsa::Avx512})
+        if (const SlabKernelSet *k = slabKernelsForIsa(isa))
+            out.emplace_back(isa, k);
+    return out;
+}
+
+const SlabKernelSet &
+portable()
+{
+    return *slabKernelsForIsa(util::SimdIsa::Scalar);
+}
+
+/** A uniform value, or (one time in four) a signed zero or a signed
+ *  1e-17. */
+double
+awkwardValue(Rng &rng)
+{
+    static constexpr double kSpecial[] = {0.0, -0.0, 1e-17, -1e-17};
+    if (rng.uniformInt(4) == 0)
+        return kSpecial[rng.uniformInt(4)];
+    return rng.uniform(-1.0, 1.0);
+}
+
+/** Two planes of dim rows x stride doubles on a 64-byte base. */
+struct Planes
+{
+    Planes(size_t dim, size_t stride) : n(dim * stride)
+    {
+        simd::fitAligned(buf, re, 2 * n);
+        im = re + n;
+    }
+    void fill(Rng &rng)
+    {
+        for (size_t e = 0; e < 2 * n; ++e)
+            re[e] = awkwardValue(rng);
+    }
+    bool sameBits(const Planes &o) const
+    {
+        return std::memcmp(re, o.re, 2 * n * sizeof(double)) == 0;
+    }
+    size_t n;
+    std::vector<double> buf;
+    double *re = nullptr, *im = nullptr;
+};
+
+/** Run @p call on a copy of the same planes under the portable table
+ *  and under @p k, and compare every bit. */
+template <class Call>
+void
+expectSameAsPortable(const SlabKernelSet &k, size_t dim, size_t stride,
+                     uint64_t seed, const Call &call)
+{
+    Planes want(dim, stride), got(dim, stride);
+    Rng rng(seed);
+    want.fill(rng);
+    std::memcpy(got.re, want.re, 2 * want.n * sizeof(double));
+    call(portable(), want);
+    call(k, got);
+    EXPECT_TRUE(got.sameBits(want));
+}
+
+TEST(SlabKernels, PairBodiesMatchPortableOnEveryZeroPattern)
+{
+    for (const auto &[isa, k] : vectorTables()) {
+        for (int n = 1; n <= 10; ++n) {
+            const size_t dim = size_t{1} << n;
+            for (size_t stride : {8, 16, 32}) {
+                for (int q = 0; q < n; ++q) {
+                    const size_t bit = size_t{1} << q;
+                    for (unsigned pattern = 0; pattern < 16; ++pattern) {
+                        SCOPED_TRACE(testing::Message()
+                                     << util::simdIsaName(isa) << " n=" << n
+                                     << " stride=" << stride << " bit=" << bit
+                                     << " pattern=" << pattern);
+                        Rng rng(7 * pattern + 131 * bit + stride);
+                        double g[8];
+                        for (double &v : g)
+                            v = awkwardValue(rng);
+                        expectSameAsPortable(
+                            *k, dim, stride, 17 * pattern + n,
+                            [&](const SlabKernelSet &t, Planes &p) {
+                                t.pair[pattern](dim, stride, p.re, p.im, bit,
+                                                g);
+                            });
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SlabKernels, SwapAndMixBodiesMatchPortable)
+{
+    for (const auto &[isa, k] : vectorTables()) {
+        for (int n = 2; n <= 8; ++n) {
+            const size_t dim = size_t{1} << n;
+            for (size_t stride : {8, 32}) {
+                for (int c = 0; c < n; ++c) {
+                    for (int t = 0; t < n; ++t) {
+                        if (c == t)
+                            continue;
+                        SCOPED_TRACE(testing::Message()
+                                     << util::simdIsaName(isa) << " n=" << n
+                                     << " stride=" << stride << " wires " << c
+                                     << "," << t);
+                        const size_t bc = size_t{1} << c;
+                        const size_t bt = size_t{1} << t;
+                        expectSameAsPortable(
+                            *k, dim, stride, 5 * n + 3 * c + t,
+                            [&](const SlabKernelSet &tab, Planes &p) {
+                                tab.swap(dim, stride, p.re, p.im, bc, bt);
+                            });
+                        // A random 2-qubit (and, on a third wire, a
+                        // 3-qubit) mix with zero and awkward terms.
+                        for (size_t arity : {2, 3}) {
+                            if (arity == 3 && n < 3)
+                                continue;
+                            Rng rng(41 * arity + 7 * c + t + 1000 * stride);
+                            MixGate m;
+                            m.subDim = size_t{1} << arity;
+                            int third = 0;
+                            while (third == c || third == t)
+                                ++third;
+                            const size_t bits[3] = {bc, bt,
+                                                    size_t{1} << third};
+                            for (size_t i = 0; i < arity; ++i) {
+                                m.mask |= bits[i];
+                                for (size_t s = 0; s < m.subDim; ++s)
+                                    if ((s >> (arity - 1 - i)) & 1u)
+                                        m.offsets[s] |= bits[i];
+                            }
+                            for (size_t r = 0; r < m.subDim; ++r)
+                                for (size_t col = 0; col < m.subDim; ++col)
+                                    if (rng.uniformInt(3) != 0)
+                                        m.terms[r][m.termCount[r]++] = {
+                                            col, awkwardValue(rng),
+                                            awkwardValue(rng)};
+                            expectSameAsPortable(
+                                *k, dim, stride, 11 * n + arity,
+                                [&](const SlabKernelSet &tab, Planes &p) {
+                                    tab.mix(dim, stride, p.re, p.im, m);
+                                });
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** The pin circuits of widths 1-10 (every gate type, zero-entry U3s,
+ *  barriers and measures). */
+std::vector<Circuit>
+parityCircuits()
+{
+    std::vector<Circuit> out;
+    for (const UnitaryPin &pin : kUnitaryPins)
+        out.push_back(pin.make());
+    return out;
+}
+
+/** Bytes of columns [col0, col0 + width) of @p u. */
+std::vector<Complex>
+columnsOf(const Matrix &u, size_t col0, size_t width)
+{
+    std::vector<Complex> out;
+    for (size_t r = 0; r < u.rows(); ++r)
+        for (size_t j = col0; j < col0 + width; ++j)
+            out.push_back(u(r, j));
+    return out;
+}
+
+bool
+sameBits(const std::vector<Complex> &a, const std::vector<Complex> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+TEST(UnitaryPlan, EveryTableMatchesPortableOnEverySlabWidth)
+{
+    std::vector<const SlabKernelSet *> tables = {&portable()};
+    for (const auto &entry : vectorTables())
+        tables.push_back(entry.second);
+    std::vector<double> planes;
+    for (const Circuit &c : parityCircuits()) {
+        const UnitaryPlan plan(c);
+        const size_t dim = plan.dim();
+        // The reference: every column from the portable table, one
+        // slab of the whole width.
+        Matrix want(dim, dim);
+        plan.buildColumns(portable(), 0, dim, want, planes);
+        for (size_t width = 1; width <= std::min<size_t>(dim, 32); ++width) {
+            for (size_t col0 : {size_t{0}, (dim - width) / 2, dim - width}) {
+                for (const SlabKernelSet *k : tables) {
+                    SCOPED_TRACE(testing::Message()
+                                 << c.numQubits() << " qubits, columns ["
+                                 << col0 << ", " << col0 + width << ")");
+                    Matrix got(dim, dim);
+                    plan.buildColumns(*k, col0, width, got, planes);
+                    EXPECT_TRUE(sameBits(columnsOf(got, col0, width),
+                                         columnsOf(want, col0, width)));
+                }
+            }
+        }
+    }
+}
+
+TEST(UnitaryPlan, PooledBuildMatchesPortableOnEveryPoolSize)
+{
+    std::vector<double> planes;
+    for (unsigned workers = 0; workers <= 3; ++workers) {
+        ThreadPool pool(workers);
+        for (const Circuit &c : parityCircuits()) {
+            const UnitaryPlan plan(c);
+            Matrix want(plan.dim(), plan.dim());
+            plan.buildColumns(portable(), 0, plan.dim(), want, planes);
+            EXPECT_EQ(digestOf(buildUnitary(c, &pool)), digestOf(want))
+                << c.numQubits() << " qubits, " << workers << " workers";
+        }
     }
 }
 

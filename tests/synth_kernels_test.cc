@@ -375,17 +375,17 @@ constexpr size_t kL = kern::batch::kLanes;
 
 /** The ISAs whose tables exist on this build+host; an ISA has both
  *  its batched and its one-lane table or neither. */
-std::vector<kern::batch::SimdIsa>
+std::vector<util::SimdIsa>
 availableIsas()
 {
-    std::vector<kern::batch::SimdIsa> isas;
+    std::vector<util::SimdIsa> isas;
     for (auto isa :
-         {kern::batch::SimdIsa::Scalar, kern::batch::SimdIsa::Avx2,
-          kern::batch::SimdIsa::Avx512}) {
+         {util::SimdIsa::Scalar, util::SimdIsa::Avx2,
+          util::SimdIsa::Avx512}) {
         const bool batched = kern::batch::batchKernelsForIsa(isa, 2);
         EXPECT_EQ(kern::batch::oneLaneKernelsForIsa(isa, 2) != nullptr,
                   batched)
-            << kern::batch::simdIsaName(isa);
+            << util::simdIsaName(isa);
         if (batched)
             isas.push_back(isa);
     }
@@ -567,7 +567,7 @@ TEST(BatchKernels, LeftU3MatchesScalarBitExact)
                     for (size_t e = 0; e < dim * dim; ++e) {
                         EXPECT_EQ(got.data()[e].real(),
                                   ref.data()[e].real())
-                            << "isa=" << kern::batch::simdIsaName(isa)
+                            << "isa=" << util::simdIsaName(isa)
                             << " dim=" << dim << " lane=" << l;
                         EXPECT_EQ(got.data()[e].imag(),
                                   ref.data()[e].imag());
@@ -609,7 +609,7 @@ TEST(BatchKernels, LeftCxMatchesScalarBitExact)
                         for (size_t e = 0; e < dim * dim; ++e) {
                             EXPECT_EQ(got.data()[e], ref.data()[e])
                                 << "isa="
-                                << kern::batch::simdIsaName(isa)
+                                << util::simdIsaName(isa)
                                 << " dim=" << dim << " lane=" << l;
                         }
                     }
@@ -647,7 +647,7 @@ TEST(BatchKernels, ReduceTraceTMatchesScalarBitExact)
                                     bs[l].data().data(), bit, ref);
                     for (size_t e = 0; e < 4; ++e) {
                         EXPECT_EQ(w2Re[e * kL + l], ref[e].real())
-                            << "isa=" << kern::batch::simdIsaName(isa)
+                            << "isa=" << util::simdIsaName(isa)
                             << " dim=" << dim << " lane=" << l;
                         EXPECT_EQ(w2Im[e * kL + l], ref[e].imag());
                     }
@@ -690,7 +690,7 @@ TEST(BatchKernels, TraceTargetMatchesScalarBitExact)
                 for (size_t e = 0; e < dd; ++e)
                     ref += kern::cmul(tc[e], u[e]);
                 EXPECT_EQ(trRe[l], ref.real())
-                    << "isa=" << kern::batch::simdIsaName(isa)
+                    << "isa=" << util::simdIsaName(isa)
                     << " dim=" << dim << " lane=" << l;
                 EXPECT_EQ(trIm[l], ref.imag());
             }
@@ -712,7 +712,7 @@ TEST(OneLaneKernels, LeftU3MatchesScalarBitExact)
             const kern::KernelSet &sk = kern::kernelsForDim(dim);
             for (size_t bit = 1; bit < dim; bit <<= 1) {
                 const std::string what =
-                    std::string("isa=") + kern::batch::simdIsaName(isa) +
+                    std::string("isa=") + util::simdIsaName(isa) +
                     " dim=" + std::to_string(dim) +
                     " bit=" + std::to_string(bit);
                 const Matrix m = randomMatrix(dim, rng);
@@ -756,7 +756,7 @@ TEST(OneLaneKernels, LeftCxMatchesScalarBitExact)
                         continue;
                     const std::string what =
                         std::string("isa=") +
-                        kern::batch::simdIsaName(isa) +
+                        util::simdIsaName(isa) +
                         " dim=" + std::to_string(dim) +
                         " bc=" + std::to_string(bc) +
                         " bt=" + std::to_string(bt);
@@ -820,11 +820,11 @@ TEST(OneLaneKernels, ReduceTraceTMatchesScalarBitExact)
                                  reinterpret_cast<double *>(got));
                 for (size_t e = 0; e < 4; ++e) {
                     EXPECT_EQ(got[e].real(), ref[e].real())
-                        << "isa=" << kern::batch::simdIsaName(isa)
+                        << "isa=" << util::simdIsaName(isa)
                         << " dim=" << dim << " bit=" << bit << " e=" << e
                         << " " << what;
                     EXPECT_EQ(got[e].imag(), ref[e].imag())
-                        << "isa=" << kern::batch::simdIsaName(isa)
+                        << "isa=" << util::simdIsaName(isa)
                         << " dim=" << dim << " bit=" << bit << " e=" << e
                         << " " << what;
                 }
@@ -897,7 +897,7 @@ TEST(OneLaneKernels, TraceTargetMatchesScalarBitExact)
             ok->traceTarget(dim, tcRe.data(), tcIm.data(), uRe.data(),
                             uIm.data(), got);
             EXPECT_EQ(got[0], ref.real())
-                << "isa=" << kern::batch::simdIsaName(isa) << " dim=" << dim;
+                << "isa=" << util::simdIsaName(isa) << " dim=" << dim;
             EXPECT_EQ(got[1], ref.imag());
         }
     }
@@ -927,9 +927,9 @@ TEST(HsCostWorkspace, MatchesInterleavedReferenceBitExactEveryIsa)
                 *kern::batch::oneLaneKernelsForIsa(isa, target.rows()));
             std::vector<double> grad;
             EXPECT_EQ(cost.evaluate(x, grad), refF)
-                << "isa=" << kern::batch::simdIsaName(isa) << " n=" << n;
+                << "isa=" << util::simdIsaName(isa) << " n=" << n;
             EXPECT_EQ(grad, refGrad)
-                << "isa=" << kern::batch::simdIsaName(isa) << " n=" << n;
+                << "isa=" << util::simdIsaName(isa) << " n=" << n;
         }
     }
 }
@@ -940,7 +940,7 @@ TEST(BatchedHsCostSuite, EvaluateMatchesScalarBitExactAllLaneCounts)
     // multistart driver switches evaluators within a call. n = 5
     // (dim 32) runs both evaluators' generic bodies.
     using namespace batchref;
-    const std::vector<kern::batch::SimdIsa> isas = availableIsas();
+    const std::vector<util::SimdIsa> isas = availableIsas();
     for (int n = 1; n <= 5; ++n) {
         Rng rng(500 + static_cast<uint64_t>(n));
         Ansatz a = testAnsatz(n);
@@ -987,9 +987,9 @@ TEST(BatchedHsCostSuite, EvaluateMatchesScalarBitExactAllLaneCounts)
                     for (size_t l = 0; l < live; ++l) {
                         const std::string what =
                             std::string("batched=") +
-                            kern::batch::simdIsaName(bisa) +
+                            util::simdIsaName(bisa) +
                             " one-lane=" +
-                            kern::batch::simdIsaName(isas[o]) +
+                            util::simdIsaName(isas[o]) +
                             " n=" + std::to_string(n) +
                             " live=" + std::to_string(live) +
                             " lane=" + std::to_string(l);
@@ -1133,9 +1133,9 @@ TEST(InstantiateDispatch, CountedOnlyForCallsWithABatchedTick)
         &registry.counter(names::kMetricSynthSimdDispatchAvx2),
         &registry.counter(names::kMetricSynthSimdDispatchScalar)};
     size_t active = 2;
-    if (kern::batch::activeSimdIsa() == kern::batch::SimdIsa::Avx512)
+    if (util::activeSimdIsa() == util::SimdIsa::Avx512)
         active = 0;
-    else if (kern::batch::activeSimdIsa() == kern::batch::SimdIsa::Avx2)
+    else if (util::activeSimdIsa() == util::SimdIsa::Avx2)
         active = 1;
     auto snapshot = [&] {
         std::array<uint64_t, 3> v{};

@@ -1,17 +1,69 @@
 /**
  * @file
  * L-BFGS minimizer tests on standard optimization problems, plus
- * golden pins of its exact iterates.
+ * golden pins of its exact iterates and an operator-new probe of its
+ * allocation-free iterations.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <utility>
 #include <vector>
 
 #include "synth/lbfgs.hh"
+
+// ---------------------------------------------------------------------
+// Global allocation probe: counts every operator-new in this test
+// binary. Assertions snapshot the counter around a measured region;
+// the replacement itself never allocates.
+namespace {
+std::atomic<uint64_t> g_allocation_count{0};
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t n)
+{
+    return operator new(n);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace quest {
 namespace {
@@ -304,6 +356,51 @@ TEST(LbfgsMachine, MatchesMinimizeUnderIterationCap)
         opts.maxIterations = cap;
         expectPin(f, {-1.2, 1.0}, pin, opts);
     }
+}
+
+TEST(LbfgsMachine, IterationsAreAllocationFree)
+{
+    // The extended Rosenbrock function on 6 parameters takes far more
+    // accepted steps than the 8-pair history holds, so the ring fills
+    // and wraps. Its gradient goes into one caller buffer.
+    constexpr size_t n = 6;
+    const auto rosenbrock = [](const std::vector<double> &x,
+                               std::vector<double> &g) {
+        double v = 0.0;
+        for (double &gi : g)
+            gi = 0.0;
+        for (size_t i = 0; i + 1 < x.size(); ++i) {
+            const double a = x[i + 1] - x[i] * x[i], b = 1.0 - x[i];
+            v += 100.0 * a * a + b * b;
+            g[i] += -400.0 * x[i] * a - 2.0 * b;
+            g[i + 1] += 200.0 * a;
+        }
+        return v;
+    };
+    const auto drive = [&](LbfgsMachine &machine, std::vector<double> &g) {
+        while (!machine.done())
+            machine.consume(rosenbrock(machine.queryPoint(), g), g);
+    };
+    const std::vector<double> x0 = {-1.2, 1.0, -1.2, 1.0, -1.2, 1.0};
+    const LbfgsOptions options;
+
+    // Warm-up: registers the lbfgs.* metrics a finished run flushes.
+    std::vector<double> g(n);
+    LbfgsMachine warm(x0, options);
+    drive(warm, g);
+
+    LbfgsMachine machine(x0, options);
+    const uint64_t before =
+        g_allocation_count.load(std::memory_order_relaxed);
+    drive(machine, g);
+    const uint64_t after =
+        g_allocation_count.load(std::memory_order_relaxed);
+
+    const LbfgsResult r = machine.takeResult();
+    EXPECT_EQ(after - before, 0u)
+        << "an L-BFGS run allocated after construction";
+    EXPECT_GT(r.iterations, 3 * options.historySize);
+    EXPECT_LT(r.value, 1e-8);
 }
 
 TEST(LbfgsMachine, MatchesMinimizeOnNonFiniteObjective)
