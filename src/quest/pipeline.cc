@@ -393,37 +393,82 @@ QuestPipeline::run(const Circuit &circuit) const
         countOutcomes(result.blockOutcomes);
         checkRunBudget(cfg, runBudget, "during STEP 2");
 
+        // Blocks of one class, keyed by (canonical block, the block's
+        // own CNOT count), keep the same candidates and get the same
+        // similarity table: the filter reads only the canonical
+        // output, the threshold, the cap and that CNOT count, and
+        // every table entry is the hsDistance of byte-equal unitaries.
+        // So a class's first block builds its kept candidates'
+        // unitaries and its table, its later blocks copy both behind
+        // their own circuit at index 0, and only one class's
+        // unitaries are alive at a time.
         result.blockApprox.resize(num_blocks);
-        std::vector<std::vector<Matrix>> approx_unitaries(num_blocks);
-        for (size_t b = 0; b < num_blocks; ++b) {
-            const SynthOutput &out = outputs[canonical[b]];
-            auto &list = result.blockApprox[b];
-            auto &mats = approx_unitaries[b];
+        result.blockSimilar.resize(num_blocks);
+        {
+            QUEST_TRACE_SCOPE("quest.similarity");
+            static auto &approx_unitaries =
+                obs::MetricsRegistry::global().counter(
+                    names::kMetricApproxUnitaries);
+            std::map<std::pair<size_t, int>, size_t> classes;
+            for (size_t b = 0; b < num_blocks; ++b) {
+                auto &list = result.blockApprox[b];
+                auto &sim = result.blockSimilar[b];
 
-            // Index 0: the original block itself (distance zero) so a
-            // feasible choice always exists and QUEST can never do
-            // worse than the Baseline.
-            const int original_cnots = static_cast<int>(
-                result.blocks[b].circuit.cnotCount());
-            list.push_back({result.blocks[b].circuit, 0.0,
-                            original_cnots});
-            mats.push_back(targets[b]);
+                // Index 0: the original block itself (distance zero)
+                // so a feasible choice always exists and QUEST can
+                // never do worse than the Baseline.
+                const int original_cnots = static_cast<int>(
+                    result.blocks[b].circuit.cnotCount());
+                list.push_back({result.blocks[b].circuit, 0.0,
+                                original_cnots});
 
-            // Keep only candidates that can appear in a feasible
-            // sample (a single block distance above the full-circuit
-            // threshold already violates the bound) and that do not
-            // exceed the original block's CNOT count.
-            for (const SynthCandidate &c : out.candidates) {
-                if (static_cast<int>(list.size()) >=
-                    cfg.maxApproxPerBlock) {
-                    break;
-                }
-                if (c.distance > result.threshold ||
-                    c.cnotCount > original_cnots) {
+                const auto [it, inserted] = classes.try_emplace(
+                    {canonical[b], original_cnots}, b);
+                if (!inserted) {
+                    const size_t first = it->second;
+                    const auto &kept = result.blockApprox[first];
+                    list.insert(list.end(), kept.begin() + 1, kept.end());
+                    sim = result.blockSimilar[first];
                     continue;
                 }
-                list.push_back({c.circuit, c.distance, c.cnotCount});
-                mats.push_back(circuitUnitary(c.circuit));
+
+                // Keep only candidates that can appear in a feasible
+                // sample (a single block distance above the
+                // full-circuit threshold already violates the bound)
+                // and that do not exceed the original block's CNOT
+                // count.
+                std::vector<Matrix> mats{targets[b]};
+                for (const SynthCandidate &c :
+                     outputs[canonical[b]].candidates) {
+                    if (static_cast<int>(list.size()) >=
+                        cfg.maxApproxPerBlock) {
+                        break;
+                    }
+                    if (c.distance > result.threshold ||
+                        c.cnotCount > original_cnots) {
+                        continue;
+                    }
+                    list.push_back({c.circuit, c.distance, c.cnotCount});
+                    mats.push_back(circuitUnitary(c.circuit));
+                }
+                approx_unitaries.add(mats.size() - 1);
+
+                // Pairwise block-approximation similarity (Alg. 1 line
+                // 13): similar iff hs(A_i, A_j) <= max(dist_i, dist_j).
+                const size_t count = list.size();
+                sim.assign(count * count, 0);
+                for (size_t i = 0; i < count; ++i) {
+                    sim[i * count + i] = 1;
+                    for (size_t j = i + 1; j < count; ++j) {
+                        double dij = hsDistance(mats[i], mats[j]);
+                        char s = dij <= std::max(list[i].distance,
+                                                 list[j].distance)
+                                     ? 1
+                                     : 0;
+                        sim[i * count + j] = s;
+                        sim[j * count + i] = s;
+                    }
+                }
             }
         }
 
@@ -447,30 +492,6 @@ QuestPipeline::run(const Circuit &circuit) const
                                     " failed verification:\n",
                                     report.toString());
                     }
-                }
-            }
-        }
-
-        // Pairwise block-approximation similarity (Alg. 1 line 13):
-        // similar iff hs(A_i, A_j) <= max(dist_i, dist_j).
-        QUEST_TRACE_SCOPE("quest.similarity");
-        result.blockSimilar.resize(num_blocks);
-        for (size_t b = 0; b < num_blocks; ++b) {
-            const auto &list = result.blockApprox[b];
-            const auto &mats = approx_unitaries[b];
-            const size_t count = list.size();
-            auto &sim = result.blockSimilar[b];
-            sim.assign(count * count, 0);
-            for (size_t i = 0; i < count; ++i) {
-                sim[i * count + i] = 1;
-                for (size_t j = i + 1; j < count; ++j) {
-                    double dij = hsDistance(mats[i], mats[j]);
-                    char s = dij <= std::max(list[i].distance,
-                                             list[j].distance)
-                                 ? 1
-                                 : 0;
-                    sim[i * count + j] = s;
-                    sim[j * count + i] = s;
                 }
             }
         }

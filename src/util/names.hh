@@ -41,6 +41,8 @@ inline constexpr const char kMetricSynthCacheHits[] =
     "quest.synth.cache_hits";
 inline constexpr const char kMetricSynthCacheMisses[] =
     "quest.synth.cache_misses";
+inline constexpr const char kMetricApproxUnitaries[] =
+    "quest.approx_unitaries";
 
 // Degradation and fault accounting (src/resilience, src/quest).
 inline constexpr const char kMetricFallbacks[] = "resilience.fallbacks";

@@ -11,11 +11,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algos/algorithms.hh"
 #include "ir/lower.hh"
+#include "ir/qasm.hh"
+#include "linalg/distance.hh"
 #include "metrics/output_distance.hh"
 #include "obs/metrics.hh"
 #include "obs/stats.hh"
@@ -221,19 +225,25 @@ TEST(Pipeline, PartitionedCircuitRuns)
     EXPECT_NEAR(d.total(), 1.0, 1e-9);
 }
 
-TEST(Pipeline, RepeatedBlocksHitTheSynthesisCache)
+/** The same 4-qubit evolution on two disjoint wire sets, which
+ *  partitions into byte-identical block unitaries. */
+Circuit
+repeatedBlocksCircuit()
 {
-    // The same 4-qubit evolution on two disjoint wire sets partitions
-    // into byte-identical block unitaries, so the second block must be
-    // a cache hit rather than a fresh synthesis.
     Circuit half = algos::tfim(4, 2);
     Circuit circuit(8);
     circuit.appendCircuit(half, {0, 1, 2, 3});
     circuit.appendCircuit(half, {4, 5, 6, 7});
+    return circuit;
+}
 
+TEST(Pipeline, RepeatedBlocksHitTheSynthesisCache)
+{
+    // Repeated block unitaries: the second block must be a cache hit
+    // rather than a fresh synthesis.
     QuestConfig cfg = leanConfig();
     cfg.synth.maxLayers = 6;
-    RunArtifacts a = tracedRun(cfg, circuit);
+    RunArtifacts a = tracedRun(cfg, repeatedBlocksCircuit());
     EXPECT_GT(a.r.blocks.size(), 1u);
     EXPECT_EQ(a.cacheHits + a.cacheMisses, a.r.blocks.size());
     EXPECT_GT(a.cacheHits, 0u);
@@ -564,6 +574,116 @@ TEST(SelectionModes, BlockBoundDeterministicAcrossThreadCounts)
     QuestResult four = QuestPipeline(cfg).run(circuit);
     expectSameResult(one, four);
     EXPECT_EQ(one.certificate.maxBound, four.certificate.maxBound);
+}
+
+/** Kept-candidate counts of a run's STEP 2: summed over every block,
+ *  and over the first block of each (unitary bytes, CNOT count) class. */
+struct KeptCounts
+{
+    size_t perBlock = 0;
+    size_t perClass = 0;
+};
+
+/**
+ * Checks every block's STEP 2 output against a recomputation: entry 0
+ * is the block's own circuit at distance 0, the similarity table is
+ * hs(A_i, A_j) <= max(d_i, d_j) over the entries' unitaries, and
+ * blocks with byte-equal unitaries and equal CNOT counts hold equal
+ * entries 1.. and equal tables.
+ */
+KeptCounts
+expectExactBlockTables(const QuestResult &r)
+{
+    KeptCounts counts;
+    EXPECT_EQ(r.blockApprox.size(), r.blocks.size());
+    EXPECT_EQ(r.blockSimilar.size(), r.blocks.size());
+    std::map<std::pair<std::string, int>, size_t> first;
+    for (size_t b = 0; b < r.blocks.size(); ++b) {
+        const Circuit &block = r.blocks[b].circuit;
+        const auto &list = r.blockApprox[b];
+        const int cnots = static_cast<int>(block.cnotCount());
+        EXPECT_TRUE(sameCircuitBytes(list.at(0).circuit, block))
+            << "block " << b;
+        EXPECT_EQ(list[0].distance, 0.0) << "block " << b;
+        EXPECT_EQ(list[0].cnotCount, cnots) << "block " << b;
+
+        const size_t count = list.size();
+        std::vector<Matrix> mats;
+        for (const BlockApprox &a : list)
+            mats.push_back(circuitUnitary(a.circuit));
+        std::vector<char> expected(count * count, 0);
+        for (size_t i = 0; i < count; ++i) {
+            expected[i * count + i] = 1;
+            for (size_t j = i + 1; j < count; ++j) {
+                const char s = hsDistance(mats[i], mats[j]) <=
+                                       std::max(list[i].distance,
+                                                list[j].distance)
+                                   ? 1
+                                   : 0;
+                expected[i * count + j] = s;
+                expected[j * count + i] = s;
+            }
+        }
+        EXPECT_EQ(r.blockSimilar[b], expected) << "block " << b;
+
+        const Matrix &u = mats[0];
+        std::string bytes(reinterpret_cast<const char *>(u.data().data()),
+                          u.data().size() * sizeof(Complex));
+        auto [it, inserted] =
+            first.try_emplace({std::move(bytes), cnots}, b);
+        counts.perBlock += count - 1;
+        if (inserted) {
+            counts.perClass += count - 1;
+            continue;
+        }
+        const size_t f = it->second;
+        const auto &ref = r.blockApprox[f];
+        EXPECT_EQ(count, ref.size()) << "block " << b << " vs " << f;
+        for (size_t k = 1; k < std::min(count, ref.size()); ++k) {
+            EXPECT_EQ(toQasm(list[k].circuit), toQasm(ref[k].circuit))
+                << "entry " << k << " of block " << b << " vs " << f;
+            EXPECT_EQ(list[k].distance, ref[k].distance);
+            EXPECT_EQ(list[k].cnotCount, ref[k].cnotCount);
+        }
+        EXPECT_EQ(r.blockSimilar[b], r.blockSimilar[f])
+            << "block " << b << " vs " << f;
+    }
+    return counts;
+}
+
+TEST(BlockTables, RepeatedBlocksMatchARecomputation)
+{
+    QuestConfig cfg = leanConfig();
+    cfg.synth.maxLayers = 6;
+    const QuestResult r = QuestPipeline(cfg).run(repeatedBlocksCircuit());
+    const KeptCounts counts = expectExactBlockTables(r);
+    EXPECT_GT(counts.perClass, 0u);
+}
+
+TEST(BlockTables, WideBlockBoundRunMatchesARecomputation)
+{
+    QuestConfig cfg = leanConfig();
+    cfg.synth.maxLayers = 4;
+    cfg.maxSamples = 3;
+    cfg.selectionMode = SelectionMode::BlockBound;
+    const QuestResult r = QuestPipeline(cfg).run(algos::tfim(64, 10));
+    const KeptCounts counts = expectExactBlockTables(r);
+    EXPECT_LT(counts.perClass, counts.perBlock);
+}
+
+TEST(BlockTables, KeptUnitariesAreBuiltOncePerClass)
+{
+    auto &built = obs::MetricsRegistry::global().counter(
+        names::kMetricApproxUnitaries);
+    const uint64_t before = built.value();
+    QuestConfig cfg = leanConfig();
+    cfg.synth.maxLayers = 6;
+    const QuestResult r = QuestPipeline(cfg).run(repeatedBlocksCircuit());
+    const uint64_t delta = built.value() - before;
+
+    const KeptCounts counts = expectExactBlockTables(r);
+    EXPECT_EQ(delta, counts.perClass);
+    EXPECT_LT(delta, counts.perBlock);
 }
 
 } // namespace
