@@ -118,7 +118,7 @@ determinismAllowlisted(const std::string &rel)
            rel == "src/util/timer.hh" ||
            // CPUID probe + QUEST_SIMD override: selects between
            // bit-identical kernel tables, so the env read cannot
-           // change any result (pinned by the batch parity tests).
+           // change any result (pinned by the kernel parity tests).
            rel == "src/util/cpu.cc";
 }
 

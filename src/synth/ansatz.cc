@@ -56,12 +56,11 @@ void
 u3WithDerivatives(double theta, double phi, double lambda, Complex g[4],
                   Complex dg[3][4])
 {
-    // This runs once per U3 op per cost evaluation (and once per op
-    // per LANE in the batched engine) and the three argument
-    // reductions dominate it, so fuse each sin/cos pair into one
-    // sincos where libm provides it. glibc's sincos evaluates the
-    // same kernels as sin and cos, so the values — and therefore the
-    // scalar/batched engine parity — are unchanged.
+    // This runs once per U3 op per cost evaluation and the three
+    // argument reductions dominate it, so fuse each sin/cos pair into
+    // one sincos where libm provides it. glibc's sincos evaluates the
+    // same kernels as sin and cos, so the values, and every result
+    // built on them, are unchanged.
 #if defined(__GLIBC__) && defined(_GNU_SOURCE)
     double c, s, cl, sl, cp, sp;
     ::sincos(theta / 2.0, &s, &c);

@@ -3,12 +3,12 @@
  * Multi-start instantiation: optimize an ansatz's angles against a
  * target unitary from several starting points and keep the best.
  *
- * All starts of one call run on the calling thread, up to eight at a
- * time in lane lockstep (see instantiate()). Determinism holds by
+ * All starts of one call run on the calling thread, one after
+ * another, on one HsCost (see instantiate()). Determinism holds by
  * construction: every start gets its own RNG stream, split serially
  * before any start runs, each start's iterates depend only on its
- * own stream, and the best-of reduction replays the serial order's
- * selection, including the first-to-goal early stop.
+ * own stream, and the best-of reduction walks the starts in order,
+ * stopping at the first one that reaches the goal.
  */
 
 #ifndef QUEST_SYNTH_INSTANTIATER_HH

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/metrics.hh"
-#include "util/logging.hh"
 #include "util/names.hh"
 
 namespace quest {
@@ -31,162 +30,158 @@ infNorm(const std::vector<double> &v)
     return worst;
 }
 
-} // namespace
-
-LbfgsMachine::LbfgsMachine(std::vector<double> x0,
-                           const LbfgsOptions &options)
-    : options(options), n(x0.size())
+/** One accepted step's curvature pair, with rho = 1 / (s . y). */
+struct Pair
 {
-    result.x = std::move(x0);
-    grad.resize(n);
-    direction.resize(n);
-    x_new.resize(n);
-    grad_new.resize(n);
-    ring.resize(static_cast<size_t>(std::max(0, options.historySize)));
-    for (Pair &p : ring) {
-        p.s.resize(n);
-        p.y.resize(n);
-    }
-    spare.s.resize(n);
-    spare.y.resize(n);
-    alpha_buf.resize(ring.size());
-}
+    std::vector<double> s;
+    std::vector<double> y;
+    double rho = 0.0;
+};
 
-const std::vector<double> &
-LbfgsMachine::queryPoint() const
-{
-    QUEST_ASSERT(phase != Phase::Finished,
-                 "queryPoint() on a finished machine");
-    return phase == Phase::AwaitInitial ? result.x : x_new;
-}
-
+/** Flush one finished run into the lbfgs.* metrics. */
 void
-LbfgsMachine::finish(double value)
+countRun(int evaluations, int iterations)
 {
     static auto &calls =
         obs::MetricsRegistry::global().counter(names::kMetricLbfgsCalls);
     static auto &iters =
         obs::MetricsRegistry::global().counter(names::kMetricLbfgsIterations);
-    static auto &evaluations = obs::MetricsRegistry::global().counter(
+    static auto &evals = obs::MetricsRegistry::global().counter(
         names::kMetricLbfgsEvaluations);
     static auto &iter_hist = obs::MetricsRegistry::global().histogram(
         names::kMetricLbfgsIterationsPerCall);
     calls.increment();
-    evaluations.add(static_cast<uint64_t>(evals));
-    iters.add(static_cast<uint64_t>(result.iterations));
-    iter_hist.record(static_cast<uint64_t>(result.iterations));
-
-    result.value = value;
-    phase = Phase::Finished;
+    evals.add(static_cast<uint64_t>(evaluations));
+    iters.add(static_cast<uint64_t>(iterations));
+    iter_hist.record(static_cast<uint64_t>(iterations));
 }
 
-void
-LbfgsMachine::proposeTrial()
+} // namespace
+
+LbfgsResult
+lbfgsMinimize(const GradObjective &objective, std::vector<double> x0,
+              const LbfgsOptions &options)
 {
-    for (size_t i = 0; i < n; ++i)
-        x_new[i] = result.x[i] + step * direction[i];
-    phase = Phase::AwaitTrial;
-}
+    const size_t n = x0.size();
+    LbfgsResult result;
+    result.x = std::move(x0);
+    int evals = 0;
+    auto finish = [&](double value) {
+        countRun(evals, result.iterations);
+        result.value = value;
+        return std::move(result);
+    };
 
-void
-LbfgsMachine::beginIteration()
-{
-    if (iter >= options.maxIterations) {
-        finish(f);
-        return;
+    // Every buffer is sized here, before the first evaluation. The
+    // last historySize accepted pairs live in a ring: historyCount of
+    // them starting at ringHead. `spare` takes each new pair;
+    // accepting it swaps it into the ring, so no iteration allocates.
+    std::vector<double> grad(n), direction(n), x_new(n), grad_new(n);
+    std::vector<Pair> ring(
+        static_cast<size_t>(std::max(0, options.historySize)));
+    for (Pair &p : ring) {
+        p.s.resize(n);
+        p.y.resize(n);
     }
+    Pair spare;
+    spare.s.resize(n);
+    spare.y.resize(n);
+    std::vector<double> alpha(ring.size());
+    size_t ringHead = 0;
+    size_t historyCount = 0;
+    // History pair h, oldest first (h < historyCount).
+    auto historyPair = [&](size_t h) -> const Pair & {
+        return ring[(ringHead + h) % ring.size()];
+    };
 
-    // The per-iteration safe point: a cancelled or overdue run stops
-    // here with the best point found so far.
-    const resilience::StopReason stop = options.budget.stop();
-    if (stop != resilience::StopReason::None) {
-        result.stopped = stop;
-        finish(f);
-        return;
-    }
-
-    result.iterations = iter + 1;
-    if (infNorm(grad) < options.gradTolerance) {
-        result.converged = true;
-        finish(f);
-        return;
-    }
-
-    // Two-loop recursion: direction = -H g.
-    direction = grad;
-    for (size_t h = historyCount; h-- > 0;) {
-        const Pair &p = historyPair(h);
-        double a = p.rho * dot(p.s, direction);
-        alpha_buf[h] = a;
-        for (size_t i = 0; i < n; ++i)
-            direction[i] -= a * p.y[i];
-    }
-    if (historyCount > 0) {
-        const Pair &last = historyPair(historyCount - 1);
-        double gamma = dot(last.s, last.y) / dot(last.y, last.y);
-        for (double &d : direction)
-            d *= gamma;
-    }
-    for (size_t h = 0; h < historyCount; ++h) {
-        const Pair &p = historyPair(h);
-        double beta = p.rho * dot(p.y, direction);
-        for (size_t i = 0; i < n; ++i)
-            direction[i] += p.s[i] * (alpha_buf[h] - beta);
-    }
-    for (double &d : direction)
-        d = -d;
-
-    dir_deriv = dot(grad, direction);
-    if (dir_deriv >= 0.0) {
-        // Not a descent direction: reset to steepest descent.
-        historyCount = 0;
-        for (size_t i = 0; i < n; ++i)
-            direction[i] = -grad[i];
-        dir_deriv = -dot(grad, grad);
-    }
-
-    step = 1.0;
-    ls = 0;
-    proposeTrial();
-}
-
-void
-LbfgsMachine::consume(double fval, std::vector<double> &g)
-{
-    QUEST_ASSERT(phase != Phase::Finished, "consume() on a finished machine");
+    double f = objective(result.x, &grad);
     ++evals;
-
-    if (phase == Phase::AwaitInitial) {
-        if (!std::isfinite(fval)) {
-            // A non-finite objective at the starting point cannot be
-            // optimized (every Armijo test would fail); report it as
-            // a diverged run instead of comparing against NaN below.
-            static auto &nonfinite = obs::MetricsRegistry::global().counter(
-                names::kMetricLbfgsNonfiniteObjectives);
-            nonfinite.increment();
-            finish(std::numeric_limits<double>::infinity());
-            return;
-        }
-        f = fval;
-        grad.swap(g);
-        if (n == 0) {
-            result.converged = true;
-            finish(f);
-            return;
-        }
-        iter = 0;
-        beginIteration();
-        return;
+    if (!std::isfinite(f)) {
+        // A non-finite objective at the starting point cannot be
+        // optimized (every Armijo test would fail); report it as a
+        // diverged run instead of comparing against NaN below.
+        static auto &nonfinite = obs::MetricsRegistry::global().counter(
+            names::kMetricLbfgsNonfiniteObjectives);
+        nonfinite.increment();
+        return finish(std::numeric_limits<double>::infinity());
+    }
+    if (n == 0) {
+        result.converged = true;
+        return finish(f);
     }
 
-    // A line-search trial came back: Armijo test, then either accept
-    // (curvature update, stagnation check, next iteration) or shrink
-    // the step by quadratic interpolation — fit f(step) ~ quadratic
-    // through f(0), f'(0) and the rejected trial — and retry.
-    const double f_new = fval;
-    grad_new.swap(g);
-    constexpr double c1 = 1e-4;
-    if (f_new <= f + c1 * step * dir_deriv) {
+    for (int iter = 0; iter < options.maxIterations; ++iter) {
+        // The per-iteration safe point: a cancelled or overdue run
+        // stops here with the best point found so far.
+        const resilience::StopReason stop = options.budget.stop();
+        if (stop != resilience::StopReason::None) {
+            result.stopped = stop;
+            return finish(f);
+        }
+
+        result.iterations = iter + 1;
+        if (infNorm(grad) < options.gradTolerance) {
+            result.converged = true;
+            return finish(f);
+        }
+
+        // Two-loop recursion: direction = -H g.
+        direction = grad;
+        for (size_t h = historyCount; h-- > 0;) {
+            const Pair &p = historyPair(h);
+            double a = p.rho * dot(p.s, direction);
+            alpha[h] = a;
+            for (size_t i = 0; i < n; ++i)
+                direction[i] -= a * p.y[i];
+        }
+        if (historyCount > 0) {
+            const Pair &last = historyPair(historyCount - 1);
+            double gamma = dot(last.s, last.y) / dot(last.y, last.y);
+            for (double &d : direction)
+                d *= gamma;
+        }
+        for (size_t h = 0; h < historyCount; ++h) {
+            const Pair &p = historyPair(h);
+            double beta = p.rho * dot(p.y, direction);
+            for (size_t i = 0; i < n; ++i)
+                direction[i] += p.s[i] * (alpha[h] - beta);
+        }
+        for (double &d : direction)
+            d = -d;
+
+        double dir_deriv = dot(grad, direction);
+        if (dir_deriv >= 0.0) {
+            // Not a descent direction: reset to steepest descent.
+            historyCount = 0;
+            for (size_t i = 0; i < n; ++i)
+                direction[i] = -grad[i];
+            dir_deriv = -dot(grad, grad);
+        }
+
+        // Armijo backtracking: a rejected trial shrinks the step by
+        // quadratic interpolation — fit f(step) ~ quadratic through
+        // f(0), f'(0) and the rejected trial — and retries.
+        constexpr double c1 = 1e-4;
+        double step = 1.0;
+        double f_new = 0.0;
+        for (int ls = 1;; ++ls) {
+            for (size_t i = 0; i < n; ++i)
+                x_new[i] = result.x[i] + step * direction[i];
+            f_new = objective(x_new, &grad_new);
+            ++evals;
+            if (f_new <= f + c1 * step * dir_deriv)
+                break;
+            double denom = 2.0 * (f_new - f - dir_deriv * step);
+            double interpolated =
+                denom > 0.0 ? -dir_deriv * step * step / denom : 0.5 * step;
+            step = std::clamp(interpolated, 0.1 * step, 0.5 * step);
+            if (ls >= 40) {
+                result.converged = infNorm(grad) < 1e-6;
+                return finish(f);
+            }
+        }
+
+        // Accept: curvature update, then the stagnation check.
         Pair &p = spare;
         for (size_t i = 0; i < n; ++i) {
             p.s[i] = x_new[i] - result.x[i];
@@ -205,7 +200,7 @@ LbfgsMachine::consume(double fval, std::vector<double> &g)
         }
 
         double f_old = f;
-        // proposeTrial overwrites all of x_new before it is read again.
+        // The next trial overwrites all of x_new before it is read.
         result.x.swap(x_new);
         grad.swap(grad_new);
         f = f_new;
@@ -213,36 +208,10 @@ LbfgsMachine::consume(double fval, std::vector<double> &g)
         if (std::abs(f_old - f) <=
             options.valueTolerance * std::max(1.0, std::abs(f_old))) {
             result.converged = true;
-            finish(f);
-            return;
+            return finish(f);
         }
-        ++iter;
-        beginIteration();
-        return;
     }
-
-    double denom = 2.0 * (f_new - f - dir_deriv * step);
-    double interpolated =
-        denom > 0.0 ? -dir_deriv * step * step / denom : 0.5 * step;
-    step = std::clamp(interpolated, 0.1 * step, 0.5 * step);
-    ++ls;
-    if (ls >= 40) {
-        result.converged = infNorm(grad) < 1e-6;
-        finish(f);
-        return;
-    }
-    proposeTrial();
-}
-
-LbfgsResult
-lbfgsMinimize(const GradObjective &objective, std::vector<double> x0,
-              const LbfgsOptions &options)
-{
-    std::vector<double> grad(x0.size());
-    LbfgsMachine machine(std::move(x0), options);
-    while (!machine.done())
-        machine.consume(objective(machine.queryPoint(), &grad), grad);
-    return machine.takeResult();
+    return finish(f);
 }
 
 } // namespace quest

@@ -1,14 +1,12 @@
 /**
  * @file
- * Precompiled ansatz execution plan shared by the one-lane and batched
- * HS cost functions.
+ * Precompiled ansatz execution plan of the HS cost function.
  *
  * Wire bits and parameter bases are structural — they depend only on
- * the ansatz, never on the parameter values — so both engines resolve
- * them once at cost-object construction. Keeping the compilation in
- * one place guarantees the two engines walk exactly the same op
- * sequence, which the batched engine's bit-for-bit parity with the
- * scalar reference relies on.
+ * the ansatz, never on the parameter values — so HsCost resolves
+ * them once at construction. The kernel parity tests' interleaved
+ * reference evaluation compiles the same plan, so both walk exactly
+ * the same op sequence, which bit-for-bit parity relies on.
  */
 
 #ifndef QUEST_SYNTH_OP_PLAN_HH

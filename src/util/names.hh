@@ -102,18 +102,6 @@ inline constexpr const char kMetricSynthEarlyStops[] =
     "synth.early_stops";
 inline constexpr const char kMetricSynthWorkspaceReuses[] =
     "synth.workspace_reuses";
-inline constexpr const char kMetricSynthBatchedEvals[] =
-    "synth.batched_evals";
-inline constexpr const char kMetricSynthBatchLanes[] =
-    "synth.batch_lanes";
-inline constexpr const char kMetricSynthLaneRefills[] =
-    "synth.lane_refills";
-inline constexpr const char kMetricSynthSimdDispatchAvx512[] =
-    "synth.simd_dispatch.avx512";
-inline constexpr const char kMetricSynthSimdDispatchAvx2[] =
-    "synth.simd_dispatch.avx2";
-inline constexpr const char kMetricSynthSimdDispatchScalar[] =
-    "synth.simd_dispatch.scalar";
 
 // Compile service (src/service): job lifecycle and framing.
 inline constexpr const char kMetricServiceJobsSubmitted[] =

@@ -16,6 +16,7 @@
 #include <limits>
 #include <numbers>
 #include <span>
+#include <utility>
 
 #include "algos/algorithms.hh"
 #include "anneal/dual_annealing.hh"
@@ -197,22 +198,20 @@ TEST(Determinism, CertifyIndependentOfThreadCount)
 }
 
 // ---------------------------------------------------------------------
-// Golden instantiate() pins. Every multistart call runs one lane-
-// lockstep driver (BatchedHsCost ticks, then the one-lane HsCost for
-// the last lanes); these rows pin its results to the ones the
-// retired one-start-at-a-time scalar engine produced, bit for bit.
-// They were captured from that engine (InstantiaterEngine::Scalar,
-// no pool) at commit cf04da3 by looping over kPinWidths, multistarts
-// {1, 2, 4, 11} and goals {kReachableGoal, kUnreachableGoal} exactly
-// as runPin() does below, printing the distance with printf("%a")
-// and fnv1a64 over the params' bytes with printf("0x%016llx"). The
-// batched engine of that commit gave the same rows with QUEST_SIMD
-// unset, =scalar, =avx2 and =off.
+// Golden instantiate() pins. Every multistart call runs its starts
+// one after another on one HsCost; these rows pin its results, bit
+// for bit. They were captured from the one-start-at-a-time scalar
+// engine (InstantiaterEngine::Scalar, no pool) at commit cf04da3 by
+// looping over kPinWidths, multistarts {1, 2, 4, 11} and goals
+// {kReachableGoal, kUnreachableGoal} exactly as runPin() does below,
+// printing the distance with printf("%a") and fnv1a64 over the
+// params' bytes with printf("0x%016llx"). The test names keep the
+// name of the batched engine that once served these calls.
 
 /** One width's ansatz, iteration cap and instantiate() seed. The
  *  cap and seed are chosen so the first start misses the goal and a
- *  later one reaches it: the early stop then drops live lanes and
- *  skips pending starts past a nonzero index. */
+ *  later one reaches it: the early stop then skips every start past
+ *  a nonzero index. */
 struct PinWidth
 {
     int qubits;
@@ -317,17 +316,36 @@ expectPins(std::span<const InstantiatePin> pins, double goal)
 
 TEST(Determinism, BatchedEngineMatchesScalarSerialWithEarlyStop)
 {
-    // The first start to reach the goal ends the call: live lanes
-    // with a later start are dropped and pending ones never launch.
+    // The first start to reach the goal ends the call: no later
+    // start launches.
     expectPins(kReachablePins, kReachableGoal);
 }
 
 TEST(Determinism, BatchedEngineMatchesScalarSerialAcrossLaneRefills)
 {
-    // No start can reach the goal, so every start runs, and 11
-    // starts exceed the 8 lanes, so retired lanes refill from the
-    // pending starts.
+    // No start can reach the goal, so every start runs.
     expectPins(kUnreachablePins, kUnreachableGoal);
+}
+
+TEST(Determinism, InstantiateLaunchesNoStartPastTheFirstToReachTheGoal)
+{
+    // At 4 qubits start 0 misses the reachable goal and start 1
+    // reaches it (the {4, 1} and {4, 2} pins), so an 11-start call
+    // launches two starts and finishes two L-BFGS runs. Under the
+    // unreachable goal it runs all 11.
+    auto &registry = obs::MetricsRegistry::global();
+    obs::Counter &starts = registry.counter(names::kMetricSynthMultistarts);
+    obs::Counter &runs = registry.counter(names::kMetricLbfgsCalls);
+    for (const auto &[goal, expected] :
+         {std::pair{kReachableGoal, uint64_t{2}},
+          std::pair{kUnreachableGoal, uint64_t{11}}}) {
+        const uint64_t starts_before = starts.value();
+        const uint64_t runs_before = runs.value();
+        runPin(kPinWidths[2], 11, goal);
+        EXPECT_EQ(starts.value() - starts_before, expected)
+            << "goal " << goal;
+        EXPECT_EQ(runs.value() - runs_before, expected) << "goal " << goal;
+    }
 }
 
 TEST(Determinism, DualAnnealingSameSeed)

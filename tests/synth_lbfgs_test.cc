@@ -195,14 +195,13 @@ TEST(Lbfgs, MonotoneNonIncreasing)
 }
 
 // ---------------------------------------------------------------------
-// Golden pins. LbfgsMachine is the one L-BFGS implementation and
-// lbfgsMinimize() only drives it, so these pin the machine to the
-// exact results of the standalone lbfgsMinimize loop it was
-// transcribed from: value, point, iterations, flags and evaluation
-// count, bit for bit. The instantiate() determinism pins rest on the
-// same iterates. Captured at commit cf04da3 by running each landscape
-// below through that lbfgsMinimize with a counting objective and
-// printing every double with printf("%a").
+// Golden pins of lbfgsMinimize(), the one L-BFGS implementation:
+// value, point, iterations, flags and evaluation count, bit for bit.
+// The instantiate() determinism pins rest on the same iterates.
+// Captured at commit cf04da3 by running each landscape below through
+// that commit's lbfgsMinimize loop with a counting objective and
+// printing every double with printf("%a"). The suite keeps the name
+// of LbfgsMachine, the state machine that once ran these iterates.
 
 struct LbfgsPin
 {
@@ -362,43 +361,42 @@ TEST(LbfgsMachine, IterationsAreAllocationFree)
 {
     // The extended Rosenbrock function on 6 parameters takes far more
     // accepted steps than the 8-pair history holds, so the ring fills
-    // and wraps. Its gradient goes into one caller buffer.
-    constexpr size_t n = 6;
-    const auto rosenbrock = [](const std::vector<double> &x,
-                               std::vector<double> &g) {
+    // and wraps. The objective reads the operator-new count at each
+    // call: lbfgsMinimize sizes every buffer before its first
+    // evaluation, so the count must not move from the first call to
+    // the last.
+    int calls = 0;
+    uint64_t first = 0, last = 0;
+    const GradObjective rosenbrock = [&](const std::vector<double> &x,
+                                         std::vector<double> *g) {
+        const uint64_t now =
+            g_allocation_count.load(std::memory_order_relaxed);
+        if (calls++ == 0)
+            first = now;
+        last = now;
         double v = 0.0;
-        for (double &gi : g)
+        for (double &gi : *g)
             gi = 0.0;
         for (size_t i = 0; i + 1 < x.size(); ++i) {
             const double a = x[i + 1] - x[i] * x[i], b = 1.0 - x[i];
             v += 100.0 * a * a + b * b;
-            g[i] += -400.0 * x[i] * a - 2.0 * b;
-            g[i + 1] += 200.0 * a;
+            (*g)[i] += -400.0 * x[i] * a - 2.0 * b;
+            (*g)[i + 1] += 200.0 * a;
         }
         return v;
-    };
-    const auto drive = [&](LbfgsMachine &machine, std::vector<double> &g) {
-        while (!machine.done())
-            machine.consume(rosenbrock(machine.queryPoint(), g), g);
     };
     const std::vector<double> x0 = {-1.2, 1.0, -1.2, 1.0, -1.2, 1.0};
     const LbfgsOptions options;
 
     // Warm-up: registers the lbfgs.* metrics a finished run flushes.
-    std::vector<double> g(n);
-    LbfgsMachine warm(x0, options);
-    drive(warm, g);
+    lbfgsMinimize(rosenbrock, x0, options);
 
-    LbfgsMachine machine(x0, options);
-    const uint64_t before =
-        g_allocation_count.load(std::memory_order_relaxed);
-    drive(machine, g);
-    const uint64_t after =
-        g_allocation_count.load(std::memory_order_relaxed);
-
-    const LbfgsResult r = machine.takeResult();
-    EXPECT_EQ(after - before, 0u)
-        << "an L-BFGS run allocated after construction";
+    calls = 0;
+    const LbfgsResult r = lbfgsMinimize(rosenbrock, x0, options);
+    EXPECT_GT(calls, 1);
+    EXPECT_EQ(last - first, 0u)
+        << "an L-BFGS run allocated between its first evaluation and "
+           "its last";
     EXPECT_GT(r.iterations, 3 * options.historySize);
     EXPECT_LT(r.value, 1e-8);
 }
