@@ -1,5 +1,9 @@
 #include "cache/codec.hh"
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <span>
 #include <string>
 
 namespace quest::cache {
@@ -96,7 +100,13 @@ decodeCircuit(ByteReader &r)
                              std::to_string(n_qubits));
     const uint32_t n_gates = r.u32();
 
+    // `n_gates` is untrusted, but every gate takes at least seven bytes
+    // (three counts and a wire), so the input's length bounds the
+    // reservation.
     Circuit circuit(static_cast<int>(n_qubits));
+    circuit.reserve(std::min<size_t>(n_gates, r.remaining() / 7));
+    std::array<int, UINT8_MAX> wires{};
+    std::array<double, 3> params{};
     for (uint32_t i = 0; i < n_gates; ++i) {
         const GateType type = gateTypeFromCode(r.u8());
         const uint8_t n_wires = r.u8();
@@ -117,7 +127,6 @@ decodeCircuit(ByteReader &r)
                 std::string("gate ") + gateName(type) +
                 " param-count mismatch: " + std::to_string(n_params));
 
-        std::vector<int> qubits(n_wires);
         for (uint8_t q = 0; q < n_wires; ++q) {
             const int32_t wire = r.i32();
             if (wire < 0 || wire >= static_cast<int32_t>(n_qubits))
@@ -125,17 +134,17 @@ decodeCircuit(ByteReader &r)
                                      " out of range on gate " +
                                      std::to_string(i));
             for (uint8_t prev = 0; prev < q; ++prev) {
-                if (qubits[prev] == wire)
+                if (wires[prev] == wire)
                     throw SerializeError("duplicate wire on gate " +
                                          std::to_string(i));
             }
-            qubits[q] = wire;
+            wires[q] = wire;
         }
-        std::vector<double> params(n_params);
         for (uint8_t p = 0; p < n_params; ++p)
             params[p] = r.f64();
 
-        circuit.append(Gate(type, std::move(qubits), std::move(params)));
+        circuit.append(Gate(type, std::span(wires.data(), n_wires),
+                            std::span(params.data(), n_params)));
     }
     return circuit;
 }
@@ -181,9 +190,10 @@ decodeSynthOutput(ByteReader &r)
     if (count == 0)
         throw SerializeError("empty candidate set");
 
-    // No reserve: `count` is untrusted and a hostile value must fail
-    // via truncation checks, not a giant allocation.
+    // `count` is untrusted: reserve no more candidates than the input
+    // could hold, at 20 bytes for the smallest (an empty circuit).
     SynthOutput out;
+    out.candidates.reserve(std::min<size_t>(count, r.remaining() / 20));
     for (uint32_t i = 0; i < count; ++i)
         out.candidates.push_back(decodeSynthCandidate(r));
     out.bestIndex = r.u64();

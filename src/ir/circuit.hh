@@ -32,6 +32,9 @@ class Circuit
     /** Append a gate; validates wire indices. */
     void append(Gate gate);
 
+    /** Make room for @p n gates in all. */
+    void reserve(size_t n) { gateList.reserve(n); }
+
     /** Append every gate of @p other, remapping its wire i to
      *  wire_map[i]. */
     void appendCircuit(const Circuit &other,

@@ -122,9 +122,9 @@ cnotEquivalents(GateType type)
     }
 }
 
-Gate::Gate(GateType type, std::vector<int> qubits,
-           std::vector<double> params)
-    : type(type), qubits(std::move(qubits)), params(std::move(params))
+Gate::Gate(GateType type, std::span<const int> qubits,
+           std::span<const double> params)
+    : type(type), qubits(qubits), params(params)
 {
     if (type != GateType::Barrier) {
         QUEST_ASSERT(static_cast<int>(this->qubits.size()) ==
@@ -188,9 +188,13 @@ Gate Gate::ccx(int c1, int c2, int t)
 {
     return {GateType::CCX, {c1, c2, t}};
 }
-Gate Gate::barrier(std::vector<int> qubits)
+Gate Gate::barrier(std::span<const int> qubits)
 {
-    return {GateType::Barrier, std::move(qubits)};
+    return {GateType::Barrier, qubits};
+}
+Gate Gate::barrier(std::initializer_list<int> qubits)
+{
+    return {GateType::Barrier, qubits};
 }
 Gate Gate::measure(int q) { return {GateType::Measure, {q}}; }
 

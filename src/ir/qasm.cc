@@ -1,9 +1,11 @@
 #include "ir/qasm.hh"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <map>
 #include <numbers>
+#include <span>
 #include <string_view>
 #include <system_error>
 
@@ -247,6 +249,17 @@ parseIndex(const std::string &ref, const std::string &reg_name)
                             "register index");
 }
 
+/** Throw rather than trip Gate's duplicate-wire assertion: malformed
+ *  input is a user error, not a bug. */
+void
+requireDistinct(std::span<const int> wires, const std::string &stmt)
+{
+    for (size_t i = 0; i < wires.size(); ++i)
+        for (size_t j = i + 1; j < wires.size(); ++j)
+            if (wires[i] == wires[j])
+                throw QasmError("duplicate wire in gate: " + stmt);
+}
+
 } // namespace
 
 std::string
@@ -328,7 +341,13 @@ parseQasm(const std::string &text)
 
     std::string qreg_name;
     int n_qubits = -1;
-    std::vector<Gate> pending;
+    Circuit circuit;
+    auto wire = [&](const std::string &ref) {
+        const int q = parseIndex(ref, qreg_name);
+        if (q < 0 || q >= n_qubits)
+            throw QasmError("wire out of range: " + ref);
+        return q;
+    };
 
     for (const std::string &stmt : statements) {
         if (stmt.empty())
@@ -349,18 +368,19 @@ parseQasm(const std::string &text)
             n_qubits = parseIndex(decl, qreg_name);
             if (n_qubits <= 0)
                 throw QasmError("qreg must have positive size");
+            circuit = Circuit(n_qubits);
             continue;
         }
         if (n_qubits < 0)
             throw QasmError("gate before qreg declaration: " + stmt);
 
         if (stmt.rfind("barrier", 0) == 0) {
-            auto refs = splitArgs(trim(stmt.substr(7)));
             std::vector<int> wires;
-            for (const auto &r : refs)
-                wires.push_back(parseIndex(r, qreg_name));
+            for (const auto &ref : splitArgs(trim(stmt.substr(7))))
+                wires.push_back(wire(ref));
+            requireDistinct(wires, stmt);
             if (!wires.empty())
-                pending.push_back(Gate::barrier(wires));
+                circuit.append(Gate::barrier(wires));
             continue;
         }
         if (stmt.rfind("measure", 0) == 0) {
@@ -369,7 +389,7 @@ parseQasm(const std::string &text)
             std::string src =
                 arrow == std::string::npos ? rest : trim(rest.substr(0,
                                                                      arrow));
-            pending.push_back(Gate::measure(parseIndex(src, qreg_name)));
+            circuit.append(Gate::measure(wire(src)));
             continue;
         }
 
@@ -383,7 +403,10 @@ parseQasm(const std::string &text)
         GateType type = gateTypeFromName(name);
         std::string rest = trim(stmt.substr(name_end));
 
-        std::vector<double> params;
+        // Wires and angles are read into fixed arrays, counting any
+        // past the three a gate can take for the error message.
+        std::array<double, 3> params{};
+        size_t n_params = 0;
         if (!rest.empty() && rest[0] == '(') {
             int depth = 0;
             size_t close = 0;
@@ -399,41 +422,37 @@ parseQasm(const std::string &text)
                 throw QasmError("unbalanced parens: " + stmt);
             for (const auto &expr :
                  splitArgs(rest.substr(1, close - 1))) {
-                params.push_back(ExprParser(expr).parse());
+                const double value = ExprParser(expr).parse();
+                if (n_params < params.size())
+                    params[n_params] = value;
+                ++n_params;
             }
             rest = trim(rest.substr(close + 1));
         }
         // "u" is a three-parameter alias of u3; "cu1"/"cp" share CP.
-        if (static_cast<int>(params.size()) != gateParamCount(type)) {
+        if (static_cast<int>(n_params) != gateParamCount(type)) {
             throw QasmError("gate " + name + " expects " +
                             std::to_string(gateParamCount(type)) +
-                            " params, got " +
-                            std::to_string(params.size()));
+                            " params, got " + std::to_string(n_params));
         }
 
-        std::vector<int> wires;
+        std::array<int, 3> wires{};
+        size_t n_wires = 0;
         for (const auto &ref : splitArgs(rest)) {
-            int q = parseIndex(ref, qreg_name);
-            if (q < 0 || q >= n_qubits)
-                throw QasmError("wire out of range: " + ref);
-            wires.push_back(q);
+            const int q = wire(ref);
+            if (n_wires < wires.size())
+                wires[n_wires] = q;
+            ++n_wires;
         }
-        if (static_cast<int>(wires.size()) != gateArity(type))
+        if (static_cast<int>(n_wires) != gateArity(type))
             throw QasmError("gate " + name + " wire-count mismatch");
-        // Throw rather than trip Gate's internal duplicate-wire
-        // assertion: malformed input is a user error, not a bug.
-        for (size_t i = 0; i < wires.size(); ++i)
-            for (size_t j = i + 1; j < wires.size(); ++j)
-                if (wires[i] == wires[j])
-                    throw QasmError("duplicate wire in gate: " + stmt);
-        pending.emplace_back(type, std::move(wires), std::move(params));
+        requireDistinct(std::span(wires.data(), n_wires), stmt);
+        circuit.append(Gate(type, std::span(wires.data(), n_wires),
+                            std::span(params.data(), n_params)));
     }
 
     if (n_qubits < 0)
         throw QasmError("no qreg declaration found");
-    Circuit circuit(n_qubits);
-    for (auto &g : pending)
-        circuit.append(std::move(g));
     return circuit;
 }
 

@@ -1,11 +1,13 @@
 #include "linalg/embed.hh"
 
+#include <vector>
+
 #include "util/logging.hh"
 
 namespace quest {
 
 Matrix
-embedUnitary(const Matrix &u, const std::vector<int> &qubits, int n_qubits)
+embedUnitary(const Matrix &u, std::span<const int> qubits, int n_qubits)
 {
     const size_t k = qubits.size();
     const size_t sub_dim = size_t{1} << k;

@@ -8,7 +8,8 @@
 #ifndef QUEST_LINALG_EMBED_HH
 #define QUEST_LINALG_EMBED_HH
 
-#include <vector>
+#include <initializer_list>
+#include <span>
 
 #include "linalg/matrix.hh"
 
@@ -23,8 +24,15 @@ namespace quest {
  * @param qubits  circuit wires, each in [0, n)
  * @param n_qubits total number of circuit qubits
  */
-Matrix embedUnitary(const Matrix &u, const std::vector<int> &qubits,
+Matrix embedUnitary(const Matrix &u, std::span<const int> qubits,
                     int n_qubits);
+
+inline Matrix
+embedUnitary(const Matrix &u, std::initializer_list<int> qubits,
+             int n_qubits)
+{
+    return embedUnitary(u, std::span<const int>(qubits), n_qubits);
+}
 
 } // namespace quest
 

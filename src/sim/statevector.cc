@@ -70,7 +70,7 @@ StateVector::applyMatrix2(const Matrix &m, int q0, int q1)
 }
 
 void
-StateVector::applyMatrix(const Matrix &m, const std::vector<int> &qubits)
+StateVector::applyMatrix(const Matrix &m, std::span<const int> qubits)
 {
     const size_t k = qubits.size();
     if (k == 1) {

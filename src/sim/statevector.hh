@@ -9,6 +9,8 @@
 #ifndef QUEST_SIM_STATEVECTOR_HH
 #define QUEST_SIM_STATEVECTOR_HH
 
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "ir/circuit.hh"
@@ -45,7 +47,12 @@ class StateVector
     void applyMatrix2(const Matrix &m, int q0, int q1);
 
     /** Apply an arbitrary 2^k x 2^k matrix to the given wires. */
-    void applyMatrix(const Matrix &m, const std::vector<int> &qubits);
+    void applyMatrix(const Matrix &m, std::span<const int> qubits);
+    void
+    applyMatrix(const Matrix &m, std::initializer_list<int> qubits)
+    {
+        applyMatrix(m, std::span<const int>(qubits));
+    }
 
     /** Apply a Pauli (0 none, 1 X, 2 Y, 3 Z) to wire q. */
     void applyPauli(int pauli, int q);

@@ -29,9 +29,9 @@ isPseudoOp(GateType type)
 struct MappedGate
 {
     GateType type;
-    std::vector<int> qubits; //!< global circuit wires
-    std::vector<double> params;
-    size_t blockIndex;       //!< producing block (noIndex: original)
+    GateWires qubits;  //!< global circuit wires
+    GateParams params;
+    size_t blockIndex; //!< producing block (noIndex: original)
 
     bool
     sameOperation(const MappedGate &other) const
@@ -315,7 +315,7 @@ PartitionVerifier::verify(const Circuit &original,
     }
     for (size_t b = 0; b < blocks.size(); ++b) {
         for (const Gate &g : blocks[b].circuit) {
-            std::vector<int> mapped = g.qubits;
+            GateWires mapped = g.qubits;
             for (int &q : mapped)
                 q = blocks[b].qubits[static_cast<size_t>(q)];
             partition_gates.push_back(

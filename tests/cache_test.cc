@@ -224,10 +224,20 @@ TEST(Codec, GateCodeTableIsABijection)
 TEST(Codec, RandomCircuitsRoundTrip)
 {
     std::mt19937_64 rng(2024);
+    std::vector<Circuit> inputs;
     for (int iter = 0; iter < 100; ++iter) {
         const int n = 1 + static_cast<int>(rng() % 4);
-        const Circuit original = randomCircuit(rng, n, rng() % 24);
+        inputs.push_back(randomCircuit(rng, n, rng() % 24));
+    }
+    // One more input: a barrier across five wires, more than a Gate
+    // holds inline.
+    Circuit wide(5);
+    wide.append(Gate::u3(0, 0.1, -0.2, 0.3));
+    wide.append(Gate::barrier({4, 0, 3, 1, 2}));
+    wide.append(Gate::cx(2, 4));
+    inputs.push_back(wide);
 
+    for (const Circuit &original : inputs) {
         ByteWriter w;
         encodeCircuit(w, original);
         ByteReader r(w.buffer());

@@ -1,14 +1,73 @@
 /**
  * @file
- * Unit tests for gate metadata, matrices and inverses.
+ * Unit tests for gate metadata, matrices and inverses, and for the
+ * inline wire and angle storage: what copies and decodes allocate, and
+ * a barrier wide enough to spill to the heap.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <numbers>
+#include <utility>
+#include <vector>
 
+#include "cache/codec.hh"
+#include "ir/circuit.hh"
 #include "ir/gate.hh"
 #include "linalg/distance.hh"
+#include "util/serialize.hh"
+
+// ---------------------------------------------------------------------
+// Global allocation probe: counts every operator-new in this test
+// binary. Assertions snapshot the counter around a measured region;
+// the replacement itself never allocates.
+namespace {
+std::atomic<uint64_t> g_allocation_count{0};
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t n)
+{
+    return operator new(n);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+// ---------------------------------------------------------------------
 
 namespace quest {
 namespace {
@@ -212,6 +271,101 @@ TEST(Gate, IsEntangling)
     EXPECT_TRUE(isEntangling(GateType::RZZ));
     EXPECT_FALSE(isEntangling(GateType::U3));
     EXPECT_FALSE(isEntangling(GateType::Barrier));
+}
+
+/** A {U3, CX} circuit of @p n_gates gates on four wires. */
+Circuit
+nativeCircuit(size_t n_gates)
+{
+    Circuit c(4);
+    for (size_t i = 0; i < n_gates; ++i) {
+        const int q = static_cast<int>(i % 4);
+        if (i % 2 == 0)
+            c.append(Gate::u3(q, 0.1 * static_cast<double>(i), 0.2, -0.3));
+        else
+            c.append(Gate::cx(q, (q + 1) % 4));
+    }
+    return c;
+}
+
+TEST(GateStorage, CopyingANativeCircuitAllocatesOnce)
+{
+    const Circuit c = nativeCircuit(1000);
+    uint64_t before = g_allocation_count.load();
+    Circuit copy = c;
+    EXPECT_EQ(g_allocation_count.load() - before, 1u)
+        << "one gate array, no per-gate wire or angle storage";
+    EXPECT_EQ(copy.size(), c.size());
+
+    before = g_allocation_count.load();
+    Gate u3 = copy[0];
+    Gate moved = std::move(u3);
+    u3 = moved;
+    EXPECT_EQ(g_allocation_count.load() - before, 0u);
+}
+
+/** Allocations made by decoding one QSC1 candidate of @p n_gates. */
+uint64_t
+decodeAllocations(size_t n_gates)
+{
+    SynthCandidate candidate;
+    candidate.circuit = nativeCircuit(n_gates);
+    candidate.cnotCount = static_cast<int>(candidate.circuit.cnotCount());
+    ByteWriter w;
+    cache::encodeSynthCandidate(w, candidate);
+
+    ByteReader r(w.buffer());
+    const uint64_t before = g_allocation_count.load();
+    const SynthCandidate back = cache::decodeSynthCandidate(r);
+    const uint64_t allocations = g_allocation_count.load() - before;
+    EXPECT_EQ(back.circuit.size(), n_gates);
+    return allocations;
+}
+
+TEST(GateStorage, DecodingACandidateAllocatesPerCircuitNotPerGate)
+{
+    const uint64_t small = decodeAllocations(10);
+    EXPECT_EQ(decodeAllocations(1000), small);
+    EXPECT_LE(small, 1u);
+}
+
+TEST(GateStorage, WideBarrierSurvivesCopyMoveAndSelfAssignment)
+{
+    const std::vector<int> wires = {4, 0, 3, 1, 2};
+    const auto wiresOf = [](const Gate &g) {
+        return std::vector<int>(g.qubits.begin(), g.qubits.end());
+    };
+    const Gate wide = Gate::barrier(wires);
+    ASSERT_EQ(wiresOf(wide), wires);
+    EXPECT_EQ(wide.arity(), 5);
+    EXPECT_TRUE(wide.actsOn(2));
+
+    Gate copy = wide;
+    EXPECT_EQ(wiresOf(copy), wires);
+    EXPECT_EQ(copy.qubits, wide.qubits);
+    Gate moved = std::move(copy);
+    EXPECT_EQ(wiresOf(moved), wires);
+    EXPECT_TRUE(copy.qubits.empty());
+
+    Gate assigned = Gate::cx(0, 1);
+    assigned = moved;
+    EXPECT_EQ(wiresOf(assigned), wires);
+    Gate &alias = assigned;
+    assigned = alias;
+    EXPECT_EQ(wiresOf(assigned), wires);
+    assigned = std::move(alias);
+    EXPECT_EQ(wiresOf(assigned), wires);
+
+    // Shrinking back to three wires moves them inline again.
+    assigned.qubits.pop_back();
+    assigned.qubits.pop_back();
+    EXPECT_EQ(wiresOf(assigned), (std::vector<int>{4, 0, 3}));
+    assigned.qubits = {7, 8, 9, 10};
+    EXPECT_EQ(wiresOf(assigned), (std::vector<int>{7, 8, 9, 10}));
+    assigned = Gate::h(1);
+    EXPECT_EQ(wiresOf(assigned), (std::vector<int>{1}));
+    EXPECT_LT(Gate::cx(0, 1).qubits, Gate::cx(0, 2).qubits);
+    EXPECT_LT(Gate::cx(0, 1).qubits, moved.qubits);
 }
 
 } // namespace

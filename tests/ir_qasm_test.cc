@@ -155,6 +155,12 @@ TEST(QasmParser, Errors)
     EXPECT_THROW(parseQasm("qreg q[2];\ncx q[0],q[0];"), QasmError);
     EXPECT_THROW(parseQasm("qreg q[3];\nccx q[0],q[1],q[1];"),
                  QasmError);
+    // Barrier and measure wires too: out of range or repeated, they
+    // are malformed input, not a Circuit or Gate assertion.
+    EXPECT_THROW(parseQasm("qreg q[2];\nbarrier q[0],q[2];"), QasmError);
+    EXPECT_THROW(parseQasm("qreg q[2];\nbarrier q[1],q[1];"), QasmError);
+    EXPECT_THROW(parseQasm("qreg q[2];\nmeasure q[2] -> c[2];"),
+                 QasmError);
 }
 
 class QasmRoundTrip : public ::testing::TestWithParam<std::string>
@@ -232,6 +238,13 @@ TEST(QasmAngles, SuiteRoundTripsBitForBit)
             expectSameBits(c, parseQasm(toQasm(c)), spec.name);
         }
     }
+    // One more input: a barrier across five wires, more than a Gate
+    // holds inline.
+    Circuit wide(5);
+    wide.append(Gate::u3(0, 0.1, -0.2, 0.3));
+    wide.append(Gate::barrier({4, 0, 3, 1, 2}));
+    wide.append(Gate::cx(2, 4));
+    expectSameBits(wide, parseQasm(toQasm(wide)), "5-wire barrier");
 }
 
 /** Angles at the edges of what "%.17g" and the parser must carry. */
