@@ -129,13 +129,12 @@ runDeterminismRule(SourceFile &f, std::vector<Finding> &out)
 namespace {
 
 /** Calls that mark a loop as "does kernel work per iteration". */
-constexpr std::array<sv, 16> kKernelCalls = {
+constexpr std::array<sv, 15> kKernelCalls = {
     "instantiate",     "instantiateParallel", "evaluate",
     "evaluateWithGradient", "synthesize",     "synthesizeBlock",
     "synthesizeExact", "applyCircuit",        "applyGate",
     "buildUnitary",    "simulate",            "minimize",
-    "dualAnnealing",   "outputDistance",      "unitary",
-    "unitaryAndGradient"};
+    "dualAnnealing",   "outputDistance",      "unitary"};
 
 /** Budget polls (as calls). */
 constexpr std::array<sv, 6> kPollCalls = {

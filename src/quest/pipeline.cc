@@ -672,12 +672,17 @@ QuestPipeline::run(const Circuit &circuit) const
                 cert.measuredSamples++;
                 cert.maxMeasured =
                     std::max(cert.maxMeasured, s.measuredDistance);
-                if (cfg.verify &&
-                    s.measuredDistance > s.distanceBound + 1e-6) {
-                    QUEST_PANIC(
-                        "Theorem-1 violation: sample measured "
-                        "distance ", s.measuredDistance,
-                        " exceeds its bound ", s.distanceBound);
+                // Theorem 1 says the bound dominates the measurement,
+                // so a sample above its bound would ship a false
+                // certificate: fail the run in every build type.
+                if (s.measuredDistance > s.distanceBound + 1e-6) {
+                    throw resilience::QuestError(
+                        resilience::ErrorCategory::Internal,
+                        detail::concat("Theorem-1 violation: sample "
+                                       "measured distance ",
+                                       s.measuredDistance,
+                                       " exceeds its bound ",
+                                       s.distanceBound));
                 }
             }
         }

@@ -18,23 +18,10 @@
 namespace quest {
 
 /**
- * Partial derivative of the U3 matrix with respect to parameter
- * @p which (0 theta, 1 phi, 2 lambda).
- */
-Matrix u3Derivative(double theta, double phi, double lambda, int which);
-
-/**
- * The 2x2 U3 entries written row-major into @p g — the
- * allocation-free counterpart of makeU3 used by the instantiation
- * hot path.
- */
-void makeU3Entries(double theta, double phi, double lambda, Complex g[4]);
-
-/**
  * The U3 entries together with all three parameter derivatives
  * (row-major 2x2 each), sharing a single cos/sin/polar evaluation.
- * The cost function's backward pass calls this once per op instead
- * of one makeU3 plus three u3Derivative, each redoing the trig.
+ * The cost function's forward pass calls this once per U3 op and
+ * caches the result for the backward pass.
  */
 void u3WithDerivatives(double theta, double phi, double lambda,
                        Complex g[4], Complex dg[3][4]);
@@ -49,8 +36,8 @@ struct AnsatzOp
 
 /**
  * A fixed structure of CX gates and parameterized U3 gates over a
- * small number of qubits. Provides the unitary and its analytic
- * parameter gradient for the optimizer.
+ * small number of qubits. HsCost evaluates it (synth/hs_cost.hh);
+ * instantiate() turns a parameter vector into a circuit.
  */
 class Ansatz
 {
@@ -83,16 +70,6 @@ class Ansatz
 
     /** Materialize a concrete circuit from parameter values. */
     Circuit instantiate(const std::vector<double> &params) const;
-
-    /** The ansatz unitary at the given parameters. */
-    Matrix unitary(const std::vector<double> &params) const;
-
-    /**
-     * The unitary together with the partial derivative with respect
-     * to every parameter (analytic; used by the HS cost gradient).
-     */
-    void unitaryAndGradient(const std::vector<double> &params, Matrix &u,
-                            std::vector<Matrix> &grads) const;
 
     /** The op sequence (for the fast cost-function path). */
     const std::vector<AnsatzOp> &operations() const { return ops; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hh"
-#include "synth/kernels.hh"
 #include "util/logging.hh"
 #include "util/names.hh"
 #include "util/vector_ops.hh"
@@ -12,7 +11,15 @@ namespace quest {
 
 namespace {
 
-using kern::cmul;
+/** Complex multiply without the NaN-fixup branch of operator*, so the
+ *  compiler emits straight mul/add sequences instead of the __muldc3
+ *  libcall. */
+inline Complex
+cmul(const Complex &a, const Complex &b)
+{
+    return Complex(a.real() * b.real() - a.imag() * b.imag(),
+                   a.real() * b.imag() + a.imag() * b.real());
+}
 
 /** Evaluate calls that reused the workspace without allocating. */
 obs::Counter &

@@ -61,8 +61,9 @@ struct HsWorkspace
  * minimizes the distance; the gradient is computed analytically from
  * the ansatz parameter derivatives.
  *
- * Bit-identical to the interleaved kern::KernelSet reference on every
- * ISA, so a result never depends on the dispatched kernel table. One
+ * Bit-identical on every ISA to its value on the portable one-lane
+ * table (the QUEST_SIMD=scalar dispatch), so a result never depends
+ * on the dispatched kernel table. One
  * instance serves all of an instantiate() call's starts, one after
  * another (see synth/instantiater.cc). Not safe for concurrent
  * evaluate() calls on one instance: the workspace is reused across

@@ -3,21 +3,22 @@
  * SIMD kernels for the instantiation evaluator (HsCost), on split
  * real/imaginary planes.
  *
- * The interleaved-complex scalar kernels (synth/kernels.hh) cannot be
- * vectorized as written: a vector of std::complex mixes real and
- * imaginary parts, so every complex multiply needs a shuffle, and
- * GCC's pattern for it contracts into vfmaddsub once FMA is enabled,
- * even under -ffp-contract=off, breaking bit identity. The table
- * below therefore keeps real and imaginary parts in separate planes,
- * element (r, c) at [r * dim + c], vectorizes ACROSS the columns of
- * one matrix, and spells every operation with explicit mul/add/sub.
- * Every scalar floating-point operation of the reference kernel
- * becomes one vector operation, with identical per-element order and
- * associativity, so every element is bit-for-bit the reference's.
- * The reductions keep each sum's serial order too: reduceTraceT
- * transposes a chunk's eight product vectors in registers, so that
- * one lane-wise add per column feeds all eight of its sums in column
- * order, and traceTarget adds its products one at a time.
+ * Interleaved std::complex storage does not vectorize cleanly: a
+ * vector of std::complex mixes real and imaginary parts, so every
+ * complex multiply needs a shuffle, and GCC's pattern for it
+ * contracts into vfmaddsub once FMA is enabled, even under
+ * -ffp-contract=off, breaking bit identity. The table below therefore
+ * keeps real and imaginary parts in separate planes, element (r, c)
+ * at [r * dim + c], vectorizes ACROSS the columns of one matrix, and
+ * spells every operation with explicit mul/add/sub. The portable
+ * table is the bit reference: every floating-point operation of its
+ * scalar loop becomes one vector operation in the SIMD tables, with
+ * identical per-element order and associativity, so every element is
+ * bit-for-bit the portable table's. The reductions keep each sum's
+ * serial order too: reduceTraceT transposes a chunk's eight product
+ * vectors in registers, so that one lane-wise add per column feeds
+ * all eight of its sums in column order, and traceTarget adds its
+ * products one at a time.
  *
  * Three implementations of the table are compiled, from the loop
  * bodies of lane_kernels_impl.hh and the vector-ops policies of
@@ -31,10 +32,10 @@
  * translation units are compiled with -ffp-contract=off and use
  * separate mul/add/sub intrinsics.
  *
- * Like the scalar table, dims 2/4/8/16 get fully specialized
- * variants via constant propagation and wider dims fall back to
- * generic runtime-dimension loops; dispatch happens once per cost
- * object, never per evaluation.
+ * Dims 2/4/8/16 get fully specialized variants via constant
+ * propagation and wider dims fall back to generic runtime-dimension
+ * loops; dispatch happens once per cost object, never per
+ * evaluation.
  */
 
 #ifndef QUEST_SYNTH_LANE_LANE_KERNELS_HH
@@ -55,12 +56,13 @@ namespace quest::kern::lane {
  * the kernels vectorize across the columns of a row. @p g is a
  * row-major 2x2 gate {g00, g01, g10, g11} and @p w2 the four trace
  * entries, each passed as four interleaved (re, im) pairs — the
- * memory layout of a Complex[4]. @p bit / @p bc / @p bt are wire
- * bits exactly as in kern::KernelSet, and the leading @p dim
- * argument is the runtime dimension (specialized tables ignore it
- * in favor of their compile-time constant). The per-element
- * arithmetic is kern::KernelSet's, so results are bit-identical to
- * it.
+ * memory layout of a Complex[4]. @p bit is the basis-index bit of
+ * the target wire (bit = 1 << (n - 1 - q)); @p bc / @p bt are the
+ * CX control and target bits. The leading @p dim argument is the
+ * runtime dimension (specialized tables ignore it in favor of their
+ * compile-time constant). Every ISA's table does the portable
+ * table's per-element arithmetic, so results are bit-identical
+ * across ISAs.
  */
 struct OneLaneKernelSet
 {
@@ -84,8 +86,15 @@ struct OneLaneKernelSet
                       const double *srcRe, const double *srcIm, size_t bc,
                       size_t bt);
 
-    /** kern::KernelSet::reduceTraceT, each of the four sums taken in
-     *  its serial (h, c) order; writes w2 as four (re, im) pairs. */
+    /**
+     * Contract W = P * B down to the wire's 2x2: with bt the
+     * TRANSPOSE of B (so B's columns are bt's contiguous rows),
+     * w2[a * 2 + c] = sum over rest of
+     * <P row (rest | a*bit), bt row (rest | c*bit)>, which satisfies
+     * Tr(P * B * embed(d, wire)) = sum_{a,c} w2[a*2+c] * d(c, a).
+     * Each of the four sums is taken in its serial (h, c) order;
+     * writes w2 as four (re, im) pairs.
+     */
     void (*reduceTraceT)(size_t dim, const double *pRe, const double *pIm,
                          const double *btRe, const double *btIm, size_t bit,
                          double *w2);
@@ -106,7 +115,8 @@ const OneLaneKernelSet &oneLaneKernelsFor(size_t dim);
 /**
  * The table for a specific ISA, or nullptr when that ISA was
  * compiled out or the host CPU lacks it. Test hook: the parity suite
- * runs every available ISA against the scalar reference.
+ * runs every available ISA against the portable (SimdIsa::Scalar)
+ * table.
  */
 const OneLaneKernelSet *oneLaneKernelsForIsa(util::SimdIsa isa,
                                              size_t dim);

@@ -7,7 +7,7 @@
  * gets the nullptr stub instead of unbuildable intrinsics.
  *
  * Separate mul/add/sub intrinsics, never _mm256_fmadd_pd: each
- * element must round exactly like the scalar kernels' uncontracted
+ * element must round exactly like the portable table's uncontracted
  * arithmetic.
  */
 

@@ -7,7 +7,7 @@
  * are in effect.
  *
  * Separate mul/add/sub intrinsics, never _mm512_fmadd_pd: each
- * element must round exactly like the scalar kernels' uncontracted
+ * element must round exactly like the portable table's uncontracted
  * arithmetic.
  */
 

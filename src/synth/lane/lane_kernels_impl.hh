@@ -9,12 +9,15 @@
  * The policies and their contract (including the addColumns
  * transpose) are in util/vector_ops.hh.
  *
- * Bit-identity contract: every body is a 1:1 translation of the
- * scalar kernel body in synth/kernels.cc — same loop order, same
- * operand order, complex arithmetic spelled with separate mul/add/sub
- * (never fused; the including TU must be compiled with
- * -ffp-contract=off). Do not "optimize" an expression here without
- * making the identical change to the scalar kernel.
+ * Bit-identity contract: every ISA runs these same bodies, so every
+ * table performs the portable table's (lane_kernels_scalar.cc) exact
+ * per-element operations — same loop order, same operand order,
+ * complex arithmetic spelled with separate mul/add/sub (never fused;
+ * the including TU must be compiled with -ffp-contract=off). The
+ * portable table has no independent bit reference: changing an
+ * expression here changes instantiation results on every ISA, which
+ * the Determinism pins (tests/determinism_test.cc) and
+ * tests/suite_digests.txt are there to catch.
  */
 
 #ifndef QUEST_SYNTH_LANE_LANE_KERNELS_IMPL_HH
@@ -28,8 +31,8 @@ namespace quest::kern::lane::impl {
  * One-lane loop bodies for one (policy, compile-time dim) pair: a
  * single matrix in split planes, every row vectorized across its
  * columns (D == 0 means runtime dimension). Each element sees the
- * scalar kernel's exact operations, and every reduction sum takes its
- * terms one at a time in the scalar loop's order. reduceTraceT keeps
+ * same operations under every policy, and every reduction sum takes
+ * its terms one at a time in serial loop order. reduceTraceT keeps
  * its eight sums in registers (addColumns, util/vector_ops.hh).
  * traceTarget's two sums are each one chain of dim * dim adds, which
  * no transpose shortens, so it adds its products from a stack buffer.

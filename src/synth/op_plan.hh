@@ -4,9 +4,7 @@
  *
  * Wire bits and parameter bases are structural — they depend only on
  * the ansatz, never on the parameter values — so HsCost resolves
- * them once at construction. The kernel parity tests' interleaved
- * reference evaluation compiles the same plan, so both walk exactly
- * the same op sequence, which bit-for-bit parity relies on.
+ * them once at construction.
  */
 
 #ifndef QUEST_SYNTH_OP_PLAN_HH

@@ -20,6 +20,7 @@
 
 #include "algos/algorithms.hh"
 #include "anneal/dual_annealing.hh"
+#include "ir/circuit.hh"
 #include "ir/qasm.hh"
 #include "obs/metrics.hh"
 #include "quest/objective.hh"
@@ -285,7 +286,7 @@ runPin(const PinWidth &width, int multistarts, double goal)
     std::vector<double> truth(static_cast<size_t>(a.paramCount()));
     for (double &v : truth)
         v = truth_rng.uniform(-pi, pi);
-    const Matrix target = a.unitary(truth);
+    const Matrix target = circuitUnitary(a.instantiate(truth));
 
     InstantiaterOptions opts;
     opts.multistarts = multistarts;

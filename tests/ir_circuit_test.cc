@@ -9,7 +9,6 @@
 
 #include "ir/circuit.hh"
 #include "linalg/distance.hh"
-#include "linalg/embed.hh"
 #include "util/rng.hh"
 
 namespace quest {

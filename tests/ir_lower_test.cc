@@ -8,7 +8,6 @@
 
 #include "ir/lower.hh"
 #include "linalg/distance.hh"
-#include "linalg/embed.hh"
 #include "sim/unitary_builder.hh"
 
 namespace quest {

@@ -8,9 +8,9 @@
 #include <cmath>
 #include <numbers>
 
+#include "embed_reference.hh"
 #include "linalg/decompose.hh"
 #include "linalg/distance.hh"
-#include "linalg/embed.hh"
 #include "linalg/matrix.hh"
 #include "util/rng.hh"
 

@@ -10,13 +10,13 @@
 
 #include <numbers>
 
+#include "density_matrix_reference.hh"
 #include "ir/lower.hh"
 #include "ir/qasm.hh"
 #include "linalg/distance.hh"
 #include "metrics/output_distance.hh"
 #include "partition/scan_partitioner.hh"
 #include "route/router.hh"
-#include "sim/density_matrix.hh"
 #include "sim/simulator.hh"
 #include "sim/unitary_builder.hh"
 #include "util/rng.hh"

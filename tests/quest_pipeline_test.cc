@@ -12,6 +12,8 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +32,7 @@
 #include "resilience/error.hh"
 #include "resilience/thread_pool.hh"
 #include "sim/simulator.hh"
+#include "synth/synth_cache.hh"
 #include "util/names.hh"
 
 namespace quest {
@@ -487,6 +490,76 @@ TEST_F(PipelineFixture, CertificateBoundsTheMeasuredDistance)
     EXPECT_NEAR(r.samples[0].measuredDistance,
                 actualProcessDistance(r.original, r.samples[0].circuit),
                 1e-12);
+}
+
+/**
+ * A thread-safe in-memory synthesis store that keeps every output as
+ * stored but serves each loaded candidate with distance 0. Deep
+ * validation of a loaded entry does not recompute distances, and the
+ * pipeline bounds a sample with the distances it is given, so a warm
+ * run through this store selects lossy approximations under a bound
+ * of 0.
+ */
+class ZeroDistanceCache : public SynthCacheHook
+{
+  public:
+    std::optional<SynthOutput>
+    load(const std::string &key) override
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        auto it = entries.find(key);
+        if (it == entries.end())
+            return std::nullopt;
+        SynthOutput out = it->second;
+        for (SynthCandidate &c : out.candidates)
+            c.distance = 0.0;
+        return out;
+    }
+
+    void
+    store(const std::string &key, const SynthOutput &out) override
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        entries.insert_or_assign(key, out);
+    }
+
+    void
+    invalidate(const std::string &key) override
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        entries.erase(key);
+    }
+
+  private:
+    std::mutex mu;
+    std::map<std::string, SynthOutput> entries;
+};
+
+TEST(SelectionModes, FullModeFailsARunWhoseSampleExceedsItsBound)
+{
+    // A measured distance above its Theorem-1 bound means the
+    // certificate is false. The run must fail with an Internal error
+    // whatever the build type, rather than ship that certificate.
+    ZeroDistanceCache cache;
+    QuestConfig cfg = leanConfig();
+    cfg.synth.maxLayers = 6;
+    cfg.sharedCache = &cache;
+    cfg.verify = false;
+    const Circuit circuit = algos::tfim(4, 2);
+
+    // Cold: every block is synthesized and stored with its distances.
+    QuestPipeline(cfg).run(circuit);
+
+    try {
+        QuestPipeline(cfg).run(circuit);
+        FAIL() << "expected QuestError(Internal)";
+    } catch (const resilience::QuestError &e) {
+        EXPECT_EQ(e.category(), resilience::ErrorCategory::Internal);
+        EXPECT_EQ(e.exitCode(), 70);
+        EXPECT_NE(std::string(e.what()).find("Theorem-1"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(SelectionModes, BlockBoundNeverBuildsFullUnitariesOrStates)

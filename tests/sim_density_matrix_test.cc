@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "algos/algorithms.hh"
+#include "density_matrix_reference.hh"
 #include "ir/lower.hh"
 #include "metrics/output_distance.hh"
-#include "sim/density_matrix.hh"
 #include "sim/simulator.hh"
 
 namespace quest {

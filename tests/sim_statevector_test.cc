@@ -7,8 +7,8 @@
 
 #include <numbers>
 
+#include "embed_reference.hh"
 #include "ir/lower.hh"
-#include "linalg/embed.hh"
 #include "sim/statevector.hh"
 #include "sim/unitary_builder.hh"
 #include "util/rng.hh"

@@ -1,8 +1,9 @@
 /**
  * @file
- * Ansatz, cost-function and gradient tests. The analytic gradient is
- * cross-checked against finite differences and the slow reference
- * implementation against the fast trace-reduction path.
+ * Ansatz, cost-function and gradient tests. HsCost's analytic
+ * gradient is cross-checked against finite differences and against
+ * a dense reference built from circuitUnitary and embedded U3
+ * derivatives.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +12,13 @@
 #include <cmath>
 #include <numbers>
 
+#include "ansatz_gradient_reference.hh"
+#include "ir/circuit.hh"
 #include "linalg/decompose.hh"
 #include "linalg/distance.hh"
-#include "sim/unitary_builder.hh"
 #include "synth/ansatz.hh"
 #include "synth/hs_cost.hh"
+#include "u3_reference.hh"
 #include "util/rng.hh"
 
 namespace quest {
@@ -59,46 +62,6 @@ TEST(Ansatz, AddLayerCounts)
     EXPECT_EQ(a.cnotCount(), 1);
 }
 
-TEST(Ansatz, InstantiateMatchesUnitary)
-{
-    Rng rng(3);
-    Ansatz a = testAnsatz(3, 4, rng);
-    auto params = randomParams(a.paramCount(), rng);
-    Matrix direct = a.unitary(params);
-    Matrix via_circuit = circuitUnitary(a.instantiate(params));
-    EXPECT_TRUE(direct.approxEqual(via_circuit, 1e-10));
-}
-
-TEST(Ansatz, UnitaryIsUnitary)
-{
-    Rng rng(5);
-    Ansatz a = testAnsatz(4, 5, rng);
-    auto params = randomParams(a.paramCount(), rng);
-    EXPECT_TRUE(a.unitary(params).isUnitary(1e-9));
-}
-
-TEST(Ansatz, GradientMatchesFiniteDifference)
-{
-    Rng rng(7);
-    Ansatz a = testAnsatz(3, 3, rng);
-    auto params = randomParams(a.paramCount(), rng);
-
-    Matrix u;
-    std::vector<Matrix> grads;
-    a.unitaryAndGradient(params, u, grads);
-    EXPECT_TRUE(u.approxEqual(a.unitary(params), 1e-12));
-
-    const double h = 1e-6;
-    for (int p = 0; p < a.paramCount(); ++p) {
-        auto plus = params, minus = params;
-        plus[p] += h;
-        minus[p] -= h;
-        Matrix fd = (a.unitary(plus) - a.unitary(minus)) *
-                    Complex(1.0 / (2.0 * h), 0.0);
-        EXPECT_LT(fd.maxAbsDiff(grads[p]), 1e-7) << "param " << p;
-    }
-}
-
 TEST(U3Derivative, MatchesFiniteDifference)
 {
     const double t = 0.7, p = -0.4, l = 1.2, h = 1e-7;
@@ -118,7 +81,7 @@ TEST(HsCost, ZeroAtExactTarget)
     Rng rng(9);
     Ansatz a = testAnsatz(2, 2, rng);
     auto params = randomParams(a.paramCount(), rng);
-    Matrix target = a.unitary(params);
+    Matrix target = circuitUnitary(a.instantiate(params));
     HsCost cost(target, a);
     std::vector<double> grad;
     const double f = cost.evaluate(params, grad);
@@ -134,7 +97,8 @@ TEST(HsCost, GlobalPhaseInvariant)
     Rng rng(11);
     Ansatz a = testAnsatz(2, 2, rng);
     auto params = randomParams(a.paramCount(), rng);
-    Matrix target = a.unitary(params) * std::polar(1.0, 0.9);
+    Matrix target =
+        circuitUnitary(a.instantiate(params)) * std::polar(1.0, 0.9);
     HsCost cost(target, a);
     std::vector<double> grad;
     EXPECT_NEAR(cost.evaluate(params, grad), 0.0, 1e-10);
@@ -146,7 +110,8 @@ TEST(HsCost, GradientMatchesFiniteDifference)
     for (int n = 2; n <= 4; ++n) {
         Ansatz a = testAnsatz(n, 3, rng);
         auto params = randomParams(a.paramCount(), rng);
-        Matrix target = a.unitary(randomParams(a.paramCount(), rng));
+        Matrix target = circuitUnitary(
+            a.instantiate(randomParams(a.paramCount(), rng)));
         HsCost cost(target, a);
 
         std::vector<double> grad;
@@ -171,12 +136,13 @@ TEST(HsCost, GradientMatchesFiniteDifference)
 
 TEST(HsCost, FastPathMatchesReferenceGradient)
 {
-    // The fast trace-reduction gradient must equal the slow
-    // full-matrix reference: grad_p = -2 Re(conj(T) Tr(U+ dA/dp))/N^2.
+    // The fast trace-reduction gradient must equal the chain rule on
+    // the dense reference: grad_p = -2 Re(conj(T) Tr(U+ dA/dp))/N^2.
     Rng rng(15);
     Ansatz a = testAnsatz(3, 4, rng);
     auto params = randomParams(a.paramCount(), rng);
-    Matrix target = a.unitary(randomParams(a.paramCount(), rng));
+    Matrix target = circuitUnitary(
+        a.instantiate(randomParams(a.paramCount(), rng)));
     HsCost cost(target, a);
 
     std::vector<double> fast;
@@ -184,7 +150,7 @@ TEST(HsCost, FastPathMatchesReferenceGradient)
 
     Matrix u;
     std::vector<Matrix> grads;
-    a.unitaryAndGradient(params, u, grads);
+    denseUnitaryAndGradient(a, params, u, grads);
     Complex tr = hsInnerProduct(target, u);
     const double n2 = static_cast<double>(target.rows()) *
                       static_cast<double>(target.rows());
@@ -201,11 +167,13 @@ TEST(HsCost, DistanceMatchesHsDistance)
     Rng rng(17);
     Ansatz a = testAnsatz(2, 2, rng);
     auto params = randomParams(a.paramCount(), rng);
-    Matrix target = a.unitary(randomParams(a.paramCount(), rng));
+    Matrix target = circuitUnitary(
+        a.instantiate(randomParams(a.paramCount(), rng)));
     HsCost cost(target, a);
     std::vector<double> grad;
     EXPECT_NEAR(std::sqrt(std::max(0.0, cost.evaluate(params, grad))),
-                hsDistance(target, a.unitary(params)), 1e-10);
+                hsDistance(target, circuitUnitary(a.instantiate(params))),
+                1e-10);
 }
 
 TEST(Ansatz, RejectsBadWires)
@@ -218,7 +186,7 @@ TEST(Ansatz, RejectsBadWires)
 TEST(Ansatz, ParamCountMismatchPanics)
 {
     Ansatz a = Ansatz::initialLayer(2);
-    EXPECT_DEATH(a.unitary({0.0}), "mismatch");
+    EXPECT_DEATH(a.instantiate({0.0}), "mismatch");
 }
 
 } // namespace

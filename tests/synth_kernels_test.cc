@@ -1,15 +1,15 @@
 /**
  * @file
- * Property tests for the instantiation hot path: every in-place
- * kernel (synth/kernels.hh) is checked against the naive dense
- * embedUnitary reference across all supported dimensions and wires,
- * the fused U3+derivative evaluation against the reference factories,
- * and the HsCost workspace gradient against finite differences and
- * the dense unitaryAndGradient path. The one-lane SIMD table is
- * pinned bit-exact to the interleaved kern::KernelSet on every
- * compiled-in ISA, and so is the evaluator. A global operator-new
- * probe asserts the zero-allocation contract of evaluate() after
- * warm-up.
+ * Property tests for the instantiation hot path. The portable
+ * one-lane kernel table (the QUEST_SIMD=scalar dispatch) is checked
+ * against dense embedUnitary products and dense traces across all
+ * supported dimensions and wires, and the fused U3+derivative
+ * evaluation against the reference factories; the HsCost gradient
+ * against finite differences and the dense reference of
+ * ansatz_gradient_reference.hh. Every compiled-in ISA's table, and
+ * HsCost on it, is pinned bit-exact to the portable table. A global
+ * operator-new probe asserts the zero-allocation contract of
+ * evaluate() after warm-up.
  */
 
 #include <gtest/gtest.h>
@@ -25,14 +25,15 @@
 #include <string>
 #include <vector>
 
+#include "ansatz_gradient_reference.hh"
+#include "embed_reference.hh"
+#include "ir/circuit.hh"
 #include "linalg/decompose.hh"
-#include "linalg/embed.hh"
 #include "linalg/matrix.hh"
 #include "synth/ansatz.hh"
 #include "synth/hs_cost.hh"
-#include "synth/kernels.hh"
 #include "synth/lane/lane_kernels.hh"
-#include "synth/op_plan.hh"
+#include "u3_reference.hh"
 #include "util/rng.hh"
 
 // ---------------------------------------------------------------------
@@ -88,6 +89,8 @@ namespace {
 
 constexpr double pi = std::numbers::pi;
 
+using kern::lane::OneLaneKernelSet;
+
 Matrix
 randomMatrix(size_t dim, Rng &rng)
 {
@@ -119,38 +122,109 @@ testAnsatz(int n)
     return a;
 }
 
+/** The ansatz unitary at random angles: an HsCost target. */
+Matrix
+randomTarget(const Ansatz &a, Rng &rng)
+{
+    std::vector<double> truth(a.paramCount());
+    for (double &v : truth)
+        v = rng.uniform(-pi, pi);
+    return circuitUnitary(a.instantiate(truth));
+}
+
+/** The portable one-lane table: the bit reference of every ISA's. */
+const OneLaneKernelSet &
+portable(size_t dim)
+{
+    return *kern::lane::oneLaneKernelsForIsa(util::SimdIsa::Scalar, dim);
+}
+
+/** The ISAs whose tables exist on this build+host. */
+std::vector<util::SimdIsa>
+availableIsas()
+{
+    std::vector<util::SimdIsa> isas;
+    for (auto isa :
+         {util::SimdIsa::Scalar, util::SimdIsa::Avx2,
+          util::SimdIsa::Avx512}) {
+        if (kern::lane::oneLaneKernelsForIsa(isa, 2))
+            isas.push_back(isa);
+    }
+    return isas;
+}
+
+/** A dense matrix as split real/imaginary planes. */
+struct Planes
+{
+    std::vector<double> re, im;
+
+    explicit Planes(const Matrix &m)
+        : re(m.data().size()), im(m.data().size())
+    {
+        for (size_t e = 0; e < m.data().size(); ++e) {
+            re[e] = m.data()[e].real();
+            im[e] = m.data()[e].imag();
+        }
+    }
+
+    /** Zeroed planes for a dim x dim matrix. */
+    explicit Planes(size_t dim) : re(dim * dim), im(dim * dim) {}
+
+    Matrix
+    matrix(size_t dim) const
+    {
+        Matrix m(dim, dim);
+        for (size_t e = 0; e < re.size(); ++e)
+            m.data()[e] = Complex(re[e], im[e]);
+        return m;
+    }
+};
+
+/** A Complex array as the interleaved (re, im) doubles the one-lane
+ *  kernels take. */
+const double *
+asDoubles(const Complex *z)
+{
+    return reinterpret_cast<const double *>(z);
+}
+
+/** Exact equality of two plane pairs. */
+void
+expectPlanesEqual(const Planes &got, const Planes &ref,
+                  const std::string &what)
+{
+    ASSERT_EQ(got.re.size(), ref.re.size()) << what;
+    for (size_t e = 0; e < got.re.size(); ++e) {
+        EXPECT_EQ(got.re[e], ref.re[e]) << what << " e=" << e;
+        EXPECT_EQ(got.im[e], ref.im[e]) << what << " e=" << e;
+    }
+}
+
+// ---------------------------------------------------------------------
+// The portable table against dense references.
+
 TEST(Kernels, LeftU3MatchesEmbedReference)
 {
     Rng rng(11);
     for (int n = 1; n <= 5; ++n) {
         const size_t dim = size_t{1} << n;
-        const kern::KernelSet &k = kern::kernelsForDim(dim);
+        const OneLaneKernelSet &k = portable(dim);
         for (int q = 0; q < n; ++q) {
             Matrix g2 = randomMatrix(2, rng);
             Matrix m = randomMatrix(dim, rng);
             Matrix expect = embedUnitary(g2, {q}, n) * m;
             const Complex g[4] = {g2(0, 0), g2(0, 1), g2(1, 0), g2(1, 1)};
-            k.leftU3(dim, m.data().data(), g, size_t{1} << (n - 1 - q));
-            EXPECT_LT(m.maxAbsDiff(expect), 1e-12)
-                << "n=" << n << " q=" << q;
-        }
-    }
-}
+            const size_t bit = size_t{1} << (n - 1 - q);
 
-TEST(Kernels, RightU3MatchesEmbedReference)
-{
-    Rng rng(12);
-    for (int n = 1; n <= 5; ++n) {
-        const size_t dim = size_t{1} << n;
-        const kern::KernelSet &k = kern::kernelsForDim(dim);
-        for (int q = 0; q < n; ++q) {
-            Matrix g2 = randomMatrix(2, rng);
-            Matrix m = randomMatrix(dim, rng);
-            Matrix expect = m * embedUnitary(g2, {q}, n);
-            const Complex g[4] = {g2(0, 0), g2(0, 1), g2(1, 0), g2(1, 1)};
-            k.rightU3(dim, m.data().data(), g, size_t{1} << (n - 1 - q));
-            EXPECT_LT(m.maxAbsDiff(expect), 1e-12)
-                << "n=" << n << " q=" << q;
+            Planes src(m), out(dim);
+            k.leftU3(dim, out.re.data(), out.im.data(), src.re.data(),
+                     src.im.data(), asDoubles(g), bit);
+            EXPECT_LT(out.matrix(dim).maxAbsDiff(expect), 1e-12)
+                << "out-of-place n=" << n << " q=" << q;
+            k.leftU3(dim, src.re.data(), src.im.data(), src.re.data(),
+                     src.im.data(), asDoubles(g), bit);
+            EXPECT_LT(src.matrix(dim).maxAbsDiff(expect), 1e-12)
+                << "in-place n=" << n << " q=" << q;
         }
     }
 }
@@ -160,40 +234,24 @@ TEST(Kernels, LeftCxMatchesEmbedReference)
     Rng rng(13);
     for (int n = 2; n <= 5; ++n) {
         const size_t dim = size_t{1} << n;
-        const kern::KernelSet &k = kern::kernelsForDim(dim);
+        const OneLaneKernelSet &k = portable(dim);
         for (int c = 0; c < n; ++c) {
             for (int t = 0; t < n; ++t) {
                 if (c == t)
                     continue;
                 Matrix m = randomMatrix(dim, rng);
                 Matrix expect = embedUnitary(cxMatrix(), {c, t}, n) * m;
-                k.leftCx(dim, m.data().data(),
-                         size_t{1} << (n - 1 - c),
-                         size_t{1} << (n - 1 - t));
-                EXPECT_LT(m.maxAbsDiff(expect), 1e-12)
-                    << "n=" << n << " c=" << c << " t=" << t;
-            }
-        }
-    }
-}
+                const size_t bc = size_t{1} << (n - 1 - c);
+                const size_t bt = size_t{1} << (n - 1 - t);
 
-TEST(Kernels, RightCxMatchesEmbedReference)
-{
-    Rng rng(14);
-    for (int n = 2; n <= 5; ++n) {
-        const size_t dim = size_t{1} << n;
-        const kern::KernelSet &k = kern::kernelsForDim(dim);
-        for (int c = 0; c < n; ++c) {
-            for (int t = 0; t < n; ++t) {
-                if (c == t)
-                    continue;
-                Matrix m = randomMatrix(dim, rng);
-                Matrix expect = m * embedUnitary(cxMatrix(), {c, t}, n);
-                k.rightCx(dim, m.data().data(),
-                          size_t{1} << (n - 1 - c),
-                          size_t{1} << (n - 1 - t));
-                EXPECT_LT(m.maxAbsDiff(expect), 1e-12)
-                    << "n=" << n << " c=" << c << " t=" << t;
+                Planes src(m), out(dim);
+                k.leftCxOut(dim, out.re.data(), out.im.data(),
+                            src.re.data(), src.im.data(), bc, bt);
+                EXPECT_LT(out.matrix(dim).maxAbsDiff(expect), 1e-12)
+                    << "gather n=" << n << " c=" << c << " t=" << t;
+                k.leftCx(dim, src.re.data(), src.im.data(), bc, bt);
+                EXPECT_LT(src.matrix(dim).maxAbsDiff(expect), 1e-12)
+                    << "swap n=" << n << " c=" << c << " t=" << t;
             }
         }
     }
@@ -204,26 +262,47 @@ TEST(Kernels, ReduceTraceTMatchesDenseTrace)
     Rng rng(15);
     for (int n = 1; n <= 5; ++n) {
         const size_t dim = size_t{1} << n;
-        const kern::KernelSet &k = kern::kernelsForDim(dim);
+        const OneLaneKernelSet &k = portable(dim);
         for (int q = 0; q < n; ++q) {
             Matrix p = randomMatrix(dim, rng);
             Matrix b = randomMatrix(dim, rng);
-            Matrix bt = b.transpose();
+            Planes pp(p), bt(b.transpose());
             Complex w2[4];
-            k.reduceTraceT(dim, p.data().data(), bt.data().data(),
-                           size_t{1} << (n - 1 - q), w2);
+            k.reduceTraceT(dim, pp.re.data(), pp.im.data(), bt.re.data(),
+                           bt.im.data(), size_t{1} << (n - 1 - q),
+                           reinterpret_cast<double *>(w2));
             // Tr(P * B * embed(d)) = sum_{a,c} w2[a*2+c] * d(c, a)
             // for ANY 2x2 d, so the contraction must match the dense
             // trace for a random one.
             Matrix d = randomMatrix(2, rng);
             const Complex expect =
                 (p * b * embedUnitary(d, {q}, n)).trace();
-            const Complex got =
-                kern::cmul(w2[0], d(0, 0)) + kern::cmul(w2[1], d(1, 0)) +
-                kern::cmul(w2[2], d(0, 1)) + kern::cmul(w2[3], d(1, 1));
+            const Complex got = w2[0] * d(0, 0) + w2[1] * d(1, 0) +
+                                w2[2] * d(0, 1) + w2[3] * d(1, 1);
             EXPECT_LT(std::abs(got - expect), 1e-10)
                 << "n=" << n << " q=" << q;
         }
+    }
+}
+
+TEST(Kernels, TraceTargetMatchesDenseTrace)
+{
+    Rng rng(17);
+    for (int n = 1; n <= 5; ++n) {
+        const size_t dim = size_t{1} << n;
+        const Matrix tgt = randomMatrix(dim, rng);
+        const Matrix u = randomMatrix(dim, rng);
+        // The kernel takes conj(target) and returns Tr(target^dagger U).
+        Matrix tc = tgt;
+        for (Complex &v : tc.data())
+            v = std::conj(v);
+        Planes tcp(tc), up(u);
+        Complex got;
+        portable(dim).traceTarget(dim, tcp.re.data(), tcp.im.data(),
+                                  up.re.data(), up.im.data(),
+                                  reinterpret_cast<double *>(&got));
+        const Complex expect = (tgt.adjoint() * u).trace();
+        EXPECT_LT(std::abs(got - expect), 1e-10) << "n=" << n;
     }
 }
 
@@ -235,17 +314,13 @@ TEST(Kernels, U3EntriesAndDerivativesMatchReference)
         const double ph = rng.uniform(-2.0 * pi, 2.0 * pi);
         const double la = rng.uniform(-2.0 * pi, 2.0 * pi);
 
-        Complex entries[4];
-        makeU3Entries(th, ph, la, entries);
         Complex g[4];
         Complex dg[3][4];
         u3WithDerivatives(th, ph, la, g, dg);
 
         const Matrix ref = makeU3(th, ph, la);
-        for (int i = 0; i < 4; ++i) {
-            EXPECT_LT(std::abs(entries[i] - ref.data()[i]), 1e-14);
+        for (int i = 0; i < 4; ++i)
             EXPECT_LT(std::abs(g[i] - ref.data()[i]), 1e-14);
-        }
         for (int which = 0; which < 3; ++which) {
             const Matrix dref = u3Derivative(th, ph, la, which);
             for (int i = 0; i < 4; ++i)
@@ -260,10 +335,7 @@ TEST(HsCostWorkspace, GradientMatchesFiniteDifference)
     for (int n = 2; n <= 4; ++n) {
         Rng rng(100 + static_cast<uint64_t>(n));
         Ansatz a = testAnsatz(n);
-        std::vector<double> truth(a.paramCount());
-        for (double &v : truth)
-            v = rng.uniform(-pi, pi);
-        const Matrix target = a.unitary(truth);
+        const Matrix target = randomTarget(a, rng);
 
         std::vector<double> x(a.paramCount());
         for (double &v : x)
@@ -291,10 +363,7 @@ TEST(HsCostWorkspace, MatchesDenseReferencePath)
 {
     Rng rng(200);
     Ansatz a = testAnsatz(3);
-    std::vector<double> truth(a.paramCount());
-    for (double &v : truth)
-        v = rng.uniform(-pi, pi);
-    const Matrix target = a.unitary(truth);
+    const Matrix target = randomTarget(a, rng);
 
     std::vector<double> x(a.paramCount());
     for (double &v : x)
@@ -303,11 +372,12 @@ TEST(HsCostWorkspace, MatchesDenseReferencePath)
     std::vector<double> grad;
     const double f = cost.evaluate(x, grad);
 
-    // Dense reference: the slow unitaryAndGradient path plus the
-    // textbook f = 1 - |Tr(T^dagger A)|^2 / N^2 and its chain rule.
+    // Dense reference: circuitUnitary with embedded U3 derivatives
+    // plus the textbook f = 1 - |Tr(T^dagger A)|^2 / N^2 and its chain
+    // rule.
     Matrix u;
     std::vector<Matrix> grads;
-    a.unitaryAndGradient(x, u, grads);
+    denseUnitaryAndGradient(a, x, u, grads);
     const double n2 = static_cast<double>(target.rows()) *
                       static_cast<double>(target.rows());
     const Complex tr = (target.adjoint() * u).trace();
@@ -324,10 +394,7 @@ TEST(HsCostWorkspace, EvaluateIsAllocationFreeAfterWarmup)
 {
     Rng rng(300);
     Ansatz a = testAnsatz(3);
-    std::vector<double> truth(a.paramCount());
-    for (double &v : truth)
-        v = rng.uniform(-pi, pi);
-    const Matrix target = a.unitary(truth);
+    const Matrix target = randomTarget(a, rng);
 
     HsCost cost(target, a);
     std::vector<double> x(a.paramCount());
@@ -358,157 +425,42 @@ TEST(HsCostWorkspace, EvaluateIsAllocationFreeAfterWarmup)
 }
 
 // ---------------------------------------------------------------------
-// The one-lane SIMD table (planar, column-parallel): every kernel and
-// the full evaluator must be BIT-identical to the scalar kernels on
+// The one-lane SIMD tables (planar, column-parallel): every kernel and
+// the full evaluator must be BIT-identical to the portable table on
 // every ISA the build and the host provide. All comparisons below
 // are EXPECT_EQ on doubles — exact, not approximate.
 
-namespace laneref {
-
-/** The ISAs whose tables exist on this build+host. */
-std::vector<util::SimdIsa>
-availableIsas()
-{
-    std::vector<util::SimdIsa> isas;
-    for (auto isa :
-         {util::SimdIsa::Scalar, util::SimdIsa::Avx2,
-          util::SimdIsa::Avx512}) {
-        if (kern::lane::oneLaneKernelsForIsa(isa, 2))
-            isas.push_back(isa);
-    }
-    return isas;
-}
-
-/** Split one dense matrix into real/imaginary planes. */
-void
-split(const Matrix &m, std::vector<double> &re, std::vector<double> &im)
-{
-    re.resize(m.data().size());
-    im.resize(m.data().size());
-    for (size_t e = 0; e < m.data().size(); ++e) {
-        re[e] = m.data()[e].real();
-        im[e] = m.data()[e].imag();
-    }
-}
-
-/** Exact equality of planes against a dense matrix. */
-void
-expectPlanesEqual(const std::vector<double> &re, const std::vector<double> &im,
-                  const Matrix &ref, const std::string &what)
-{
-    ASSERT_EQ(re.size(), ref.data().size()) << what;
-    for (size_t e = 0; e < re.size(); ++e) {
-        EXPECT_EQ(re[e], ref.data()[e].real()) << what << " e=" << e;
-        EXPECT_EQ(im[e], ref.data()[e].imag()) << what << " e=" << e;
-    }
-}
-
-/**
- * The HS cost and gradient computed on the interleaved
- * kern::KernelSet, HsCost's evaluator-level bit reference: forward
- * prefix walk by copy-then-apply, Tr(target^dagger U) accumulated
- * elementwise, transposed backward sweep.
- */
-double
-referenceEvaluate(const Matrix &target, const Ansatz &a,
-                  const std::vector<double> &x, std::vector<double> &grad)
-{
-    const size_t dim = target.rows();
-    const size_t dd = dim * dim;
-    const kern::KernelSet &k = kern::kernelsForDim(dim);
-    const synth::CompiledPlan plan = synth::compilePlan(a);
-    const double n2 = static_cast<double>(dim) * static_cast<double>(dim);
-    std::vector<Complex> tc(dd);
-    for (size_t e = 0; e < dd; ++e)
-        tc[e] = std::conj(target.data()[e]);
-
-    std::vector<Complex> pre((plan.ops.size() + 1) * dd);
-    std::vector<Complex> terms(plan.u3Count * 16);
-    for (size_t i = 0; i < dim; ++i)
-        pre[i * dim + i] = Complex(1.0, 0.0);
-    size_t ui = 0;
-    for (size_t j = 0; j < plan.ops.size(); ++j) {
-        const synth::OpPlan &op = plan.ops[j];
-        Complex *nxt = pre.data() + (j + 1) * dd;
-        std::copy(nxt - dd, nxt, nxt);
-        if (op.isCx) {
-            k.leftCx(dim, nxt, op.bit, op.bit2);
-            continue;
-        }
-        Complex *slot = terms.data() + ui++ * 16;
-        u3WithDerivatives(x[op.base], x[op.base + 1], x[op.base + 2], slot,
-                          reinterpret_cast<Complex(*)[4]>(slot + 4));
-        k.leftU3(dim, nxt, slot, op.bit);
-    }
-    Complex tr(0.0, 0.0);
-    for (size_t e = 0; e < dd; ++e)
-        tr += kern::cmul(tc[e], pre[plan.ops.size() * dd + e]);
-
-    grad.assign(static_cast<size_t>(plan.nParams), 0.0);
-    std::vector<Complex> bt = tc;
-    for (size_t j = plan.ops.size(); j-- > 0;) {
-        const synth::OpPlan &op = plan.ops[j];
-        if (op.isCx) {
-            k.leftCx(dim, bt.data(), op.bit, op.bit2);
-            continue;
-        }
-        const Complex *slot = terms.data() + --ui * 16;
-        Complex w2[4];
-        k.reduceTraceT(dim, pre.data() + j * dd, bt.data(), op.bit, w2);
-        for (int which = 0; which < 3; ++which) {
-            const Complex *d = slot + 4 + which * 4;
-            const Complex dtr =
-                kern::cmul(w2[0], d[0]) + kern::cmul(w2[1], d[2]) +
-                kern::cmul(w2[2], d[1]) + kern::cmul(w2[3], d[3]);
-            grad[op.base + which] =
-                -2.0 * kern::cmul(std::conj(tr), dtr).real() / n2;
-        }
-        const Complex gT[4] = {slot[0], slot[2], slot[1], slot[3]};
-        k.leftU3(dim, bt.data(), gT, op.bit);
-    }
-    return 1.0 - std::norm(tr) / n2;
-}
-
-} // namespace laneref
-
-// One-lane (column-vectorized) kernels: each ISA's table against the
-// interleaved kern::KernelSet, exact equality, dims 2-32.
-
 TEST(OneLaneKernels, LeftU3MatchesScalarBitExact)
 {
-    using namespace laneref;
     Rng rng(411);
     for (auto isa : availableIsas()) {
         for (size_t dim = 2; dim <= 32; dim <<= 1) {
             const auto *ok = kern::lane::oneLaneKernelsForIsa(isa, dim);
             ASSERT_NE(ok, nullptr);
-            const kern::KernelSet &sk = kern::kernelsForDim(dim);
             for (size_t bit = 1; bit < dim; bit <<= 1) {
                 const std::string what =
                     std::string("isa=") + util::simdIsaName(isa) +
                     " dim=" + std::to_string(dim) +
                     " bit=" + std::to_string(bit);
-                const Matrix m = randomMatrix(dim, rng);
+                Planes src(randomMatrix(dim, rng));
                 Complex g[4];
                 for (Complex &v : g)
                     v = Complex(rng.uniform(-1.0, 1.0),
                                 rng.uniform(-1.0, 1.0));
-                Matrix ref = m;
-                sk.leftU3(dim, ref.data().data(), g, bit);
+                Planes ref(dim);
+                portable(dim).leftU3(dim, ref.re.data(), ref.im.data(),
+                                     src.re.data(), src.im.data(),
+                                     asDoubles(g), bit);
 
                 // Fused out-of-place (the forward walk) ...
-                std::vector<double> sRe, sIm;
-                split(m, sRe, sIm);
-                std::vector<double> oRe(sRe.size()), oIm(sIm.size());
-                ok->leftU3(dim, oRe.data(), oIm.data(), sRe.data(),
-                           sIm.data(), reinterpret_cast<const double *>(g),
-                           bit);
-                expectPlanesEqual(oRe, oIm, ref, what + " out-of-place");
+                Planes out(dim);
+                ok->leftU3(dim, out.re.data(), out.im.data(), src.re.data(),
+                           src.im.data(), asDoubles(g), bit);
+                expectPlanesEqual(out, ref, what + " out-of-place");
                 // ... and in place (the backward accumulator).
-                ok->leftU3(dim, sRe.data(), sIm.data(), sRe.data(),
-                           sIm.data(), reinterpret_cast<const double *>(g),
-                           bit);
-                expectPlanesEqual(sRe, sIm, ref, what + " in-place");
+                ok->leftU3(dim, src.re.data(), src.im.data(), src.re.data(),
+                           src.im.data(), asDoubles(g), bit);
+                expectPlanesEqual(src, ref, what + " in-place");
             }
         }
     }
@@ -516,13 +468,11 @@ TEST(OneLaneKernels, LeftU3MatchesScalarBitExact)
 
 TEST(OneLaneKernels, LeftCxMatchesScalarBitExact)
 {
-    using namespace laneref;
     Rng rng(412);
     for (auto isa : availableIsas()) {
         for (size_t dim = 4; dim <= 32; dim <<= 1) {
             const auto *ok = kern::lane::oneLaneKernelsForIsa(isa, dim);
             ASSERT_NE(ok, nullptr);
-            const kern::KernelSet &sk = kern::kernelsForDim(dim);
             for (size_t bc = 1; bc < dim; bc <<= 1) {
                 for (size_t bt = 1; bt < dim; bt <<= 1) {
                     if (bc == bt)
@@ -533,18 +483,18 @@ TEST(OneLaneKernels, LeftCxMatchesScalarBitExact)
                         " dim=" + std::to_string(dim) +
                         " bc=" + std::to_string(bc) +
                         " bt=" + std::to_string(bt);
-                    const Matrix m = randomMatrix(dim, rng);
-                    Matrix ref = m;
-                    sk.leftCx(dim, ref.data().data(), bc, bt);
+                    Planes src(randomMatrix(dim, rng));
+                    Planes ref(dim);
+                    portable(dim).leftCxOut(dim, ref.re.data(),
+                                            ref.im.data(), src.re.data(),
+                                            src.im.data(), bc, bt);
 
-                    std::vector<double> sRe, sIm;
-                    split(m, sRe, sIm);
-                    std::vector<double> oRe(sRe.size()), oIm(sIm.size());
-                    ok->leftCxOut(dim, oRe.data(), oIm.data(), sRe.data(),
-                                  sIm.data(), bc, bt);
-                    expectPlanesEqual(oRe, oIm, ref, what + " gather");
-                    ok->leftCx(dim, sRe.data(), sIm.data(), bc, bt);
-                    expectPlanesEqual(sRe, sIm, ref, what + " swap");
+                    Planes out(dim);
+                    ok->leftCxOut(dim, out.re.data(), out.im.data(),
+                                  src.re.data(), src.im.data(), bc, bt);
+                    expectPlanesEqual(out, ref, what + " gather");
+                    ok->leftCx(dim, src.re.data(), src.im.data(), bc, bt);
+                    expectPlanesEqual(src, ref, what + " swap");
                 }
             }
         }
@@ -561,8 +511,8 @@ TEST(OneLaneKernels, ReduceTraceTMatchesScalarBitExact)
     // every other term zero. In that order the sum is exactly 0
     // (2^53 + 1 rounds to 2^53); adding -2^53 before the 1 gives 1.
     // Sliding the witness over every start position puts it inside a
-    // register chunk and across every chunk and row boundary.
-    using namespace laneref;
+    // register chunk and across every chunk and row boundary, and
+    // checks that the portable table itself sums in serial order.
     Rng rng(413);
     auto wideMatrix = [&rng](size_t dim) {
         Matrix m(dim, dim);
@@ -578,18 +528,17 @@ TEST(OneLaneKernels, ReduceTraceTMatchesScalarBitExact)
         for (size_t dim = 2; dim <= 32; dim <<= 1) {
             const auto *ok = kern::lane::oneLaneKernelsForIsa(isa, dim);
             ASSERT_NE(ok, nullptr);
-            const kern::KernelSet &sk = kern::kernelsForDim(dim);
             auto expectMatch = [&](const Matrix &p, const Matrix &b,
                                    size_t bit, const std::string &what) {
+                const Planes pp(p), bp(b);
                 std::array<Complex, 4> ref;
-                sk.reduceTraceT(dim, p.data().data(), b.data().data(), bit,
-                                ref.data());
-                std::vector<double> pRe, pIm, bRe, bIm;
-                split(p, pRe, pIm);
-                split(b, bRe, bIm);
+                portable(dim).reduceTraceT(dim, pp.re.data(), pp.im.data(),
+                                           bp.re.data(), bp.im.data(), bit,
+                                           reinterpret_cast<double *>(
+                                               ref.data()));
                 Complex got[4];
-                ok->reduceTraceT(dim, pRe.data(), pIm.data(), bRe.data(),
-                                 bIm.data(), bit,
+                ok->reduceTraceT(dim, pp.re.data(), pp.im.data(),
+                                 bp.re.data(), bp.im.data(), bit,
                                  reinterpret_cast<double *>(got));
                 for (size_t e = 0; e < 4; ++e) {
                     EXPECT_EQ(got[e].real(), ref[e].real())
@@ -647,53 +596,43 @@ TEST(OneLaneKernels, ReduceTraceTMatchesScalarBitExact)
 
 TEST(OneLaneKernels, TraceTargetMatchesScalarBitExact)
 {
-    using namespace laneref;
     Rng rng(414);
     for (auto isa : availableIsas()) {
         for (size_t dim = 2; dim <= 32; dim <<= 1) {
             const auto *ok = kern::lane::oneLaneKernelsForIsa(isa, dim);
             ASSERT_NE(ok, nullptr);
-            const size_t dd = dim * dim;
-            const Matrix tgt = randomMatrix(dim, rng);
-            const Matrix u = randomMatrix(dim, rng);
-            std::vector<double> tcRe(dd), tcIm(dd), uRe, uIm;
-            // The scalar engine's accumulation, verbatim.
-            Complex ref(0.0, 0.0);
-            for (size_t e = 0; e < dd; ++e) {
-                const Complex tc = std::conj(tgt.data()[e]);
-                tcRe[e] = tc.real();
-                tcIm[e] = tc.imag();
-                ref += kern::cmul(tc, u.data()[e]);
-            }
-            split(u, uRe, uIm);
+            const Planes tc(randomMatrix(dim, rng));
+            const Planes u(randomMatrix(dim, rng));
+            double ref[2];
+            portable(dim).traceTarget(dim, tc.re.data(), tc.im.data(),
+                                      u.re.data(), u.im.data(), ref);
             double got[2];
-            ok->traceTarget(dim, tcRe.data(), tcIm.data(), uRe.data(),
-                            uIm.data(), got);
-            EXPECT_EQ(got[0], ref.real())
+            ok->traceTarget(dim, tc.re.data(), tc.im.data(), u.re.data(),
+                            u.im.data(), got);
+            EXPECT_EQ(got[0], ref[0])
                 << "isa=" << util::simdIsaName(isa) << " dim=" << dim;
-            EXPECT_EQ(got[1], ref.imag());
+            EXPECT_EQ(got[1], ref[1])
+                << "isa=" << util::simdIsaName(isa) << " dim=" << dim;
         }
     }
 }
 
 TEST(HsCostWorkspace, MatchesInterleavedReferenceBitExactEveryIsa)
 {
-    // Evaluator level: the planar HsCost on every one-lane table
-    // reproduces the interleaved KernelSet evaluation bit for bit,
-    // including dim 32's generic bodies.
-    using namespace laneref;
+    // Evaluator level: HsCost on every one-lane table reproduces its
+    // value and gradient on the portable table bit for bit, including
+    // dim 32's generic bodies.
     for (int n = 1; n <= 5; ++n) {
         Rng rng(450 + static_cast<uint64_t>(n));
         Ansatz a = testAnsatz(n);
-        std::vector<double> truth(a.paramCount());
-        for (double &v : truth)
-            v = rng.uniform(-pi, pi);
-        const Matrix target = a.unitary(truth);
+        const Matrix target = randomTarget(a, rng);
         std::vector<double> x(a.paramCount());
         for (double &v : x)
             v = rng.uniform(-pi, pi);
+        HsCost reference(target, a);
+        reference.useKernels(portable(target.rows()));
         std::vector<double> refGrad;
-        const double refF = referenceEvaluate(target, a, x, refGrad);
+        const double refF = reference.evaluate(x, refGrad);
         for (auto isa : availableIsas()) {
             HsCost cost(target, a);
             cost.useKernels(
@@ -711,10 +650,7 @@ TEST(HsCostWorkspace, ConstructorWarmsTheArena)
 {
     Rng rng(301);
     Ansatz a = testAnsatz(2);
-    std::vector<double> truth(a.paramCount());
-    for (double &v : truth)
-        v = rng.uniform(-pi, pi);
-    const Matrix target = a.unitary(truth);
+    const Matrix target = randomTarget(a, rng);
 
     HsCost cost(target, a);
     // The constructor's single ensure() is the only growth; every

@@ -17,6 +17,7 @@
 
 #include "algos/algorithms.hh"
 #include "cache/codec.hh"
+#include "ir/circuit.hh"
 #include "ir/lower.hh"
 #include "ir/qasm.hh"
 #include "linalg/decompose.hh"
@@ -53,7 +54,7 @@ TEST(Instantiater, RecoversKnownAnsatzParams)
     std::vector<double> truth(a.paramCount());
     for (double &v : truth)
         v = rng.uniform(-pi, pi);
-    Matrix target = a.unitary(truth);
+    Matrix target = circuitUnitary(a.instantiate(truth));
 
     InstantiaterOptions opts;
     opts.multistarts = 4;
@@ -68,7 +69,7 @@ TEST(Instantiater, WarmStartAtOptimumStays)
     std::vector<double> truth(a.paramCount());
     for (double &v : truth)
         v = rng.uniform(-pi, pi);
-    Matrix target = a.unitary(truth);
+    Matrix target = circuitUnitary(a.instantiate(truth));
 
     InstantiaterOptions opts;
     opts.multistarts = 1;
