@@ -271,13 +271,11 @@ SynthesisCache::load(const std::string &key)
     }
 
     hitCounter().increment();
-    if (cfg.touchOnHit) {
-        QUEST_RESULT_NEUTRAL("recency touch feeds GC eviction order "
-                             "only; the returned entry is unchanged");
-        fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-        // Recency refresh is best effort; a hit on a read-only cache
-        // is still a hit.
-    }
+    QUEST_RESULT_NEUTRAL("recency touch feeds GC eviction order only; "
+                         "the returned entry is unchanged");
+    // Recency refresh is best effort; a hit on a read-only cache is
+    // still a hit.
+    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
     return out;
 }
 

@@ -47,9 +47,6 @@ struct CacheConfig
     /** After exceeding maxBytes, evict down to this fraction of it
      *  so stores do not GC on every call at the boundary. */
     double gcHysteresis = 0.8;
-
-    /** Refresh an entry's mtime when it is hit (LRU recency). */
-    bool touchOnHit = true;
 };
 
 /** Aggregate on-disk state. */
@@ -118,8 +115,6 @@ class SynthesisCache : public SynthCacheHook
     std::filesystem::path entryPath(const std::string &key) const;
 
   private:
-    struct ParsedEntry;
-
     /** Parse one entry file; returns the decoded output or a failure
      *  reason (no metrics side effects). */
     static std::optional<SynthOutput>

@@ -104,8 +104,6 @@ class QuestClient
      *  Returns once the daemon acknowledged. */
     void shutdown(bool drain = true);
 
-    int fd() const { return sock; }
-
   private:
     explicit QuestClient(int fd) : sock(fd) {}
 

@@ -54,44 +54,60 @@ encodeFrame(MsgType type, const std::vector<uint8_t> &payload)
     return w.take();
 }
 
+FrameHeader
+decodeFrameHeader(const uint8_t *bytes, uint32_t maxPayloadBytes)
+{
+    FrameHeader h;
+    ByteReader r(bytes, kFrameHeaderBytes);
+    uint8_t magic[sizeof kFrameMagic];
+    r.bytes(magic, sizeof magic);
+    const uint16_t version = r.u16();
+    h.type = static_cast<MsgType>(r.u16());
+    h.length = r.u32();
+    if (std::memcmp(magic, kFrameMagic, sizeof magic) != 0) {
+        h.defect = FrameDefect::BadMagic;
+        h.error = "bad frame magic (want \"QSV1\")";
+    } else if (version != kProtocolVersion) {
+        h.defect = FrameDefect::VersionMismatch;
+        h.error = "protocol version mismatch: got " +
+                  std::to_string(version) + ", this peer speaks " +
+                  std::to_string(kProtocolVersion);
+    } else if (h.length > maxPayloadBytes) {
+        h.defect = FrameDefect::Oversized;
+        h.error = "oversized frame payload: " + std::to_string(h.length) +
+                  " bytes exceeds the " + std::to_string(maxPayloadBytes) +
+                  "-byte cap";
+    }
+    return h;
+}
+
+bool
+frameChecksumMatches(const uint8_t *body, uint32_t length)
+{
+    return ByteReader(body + length, kFrameTrailerBytes).u64() ==
+           fnv1a64(body, length);
+}
+
 Frame
 decodeFrame(const uint8_t *data, size_t size, uint32_t maxPayloadBytes)
 {
-    ByteReader r(data, size);
-    uint8_t magic[4];
-    r.bytes(magic, sizeof magic);
-    if (std::memcmp(magic, kFrameMagic, sizeof magic) != 0)
-        throw SerializeError("bad frame magic (want \"QSV1\")");
-    const uint16_t version = r.u16();
-    if (version != kProtocolVersion) {
-        throw SerializeError(
-            "protocol version mismatch: got " +
-            std::to_string(version) + ", this server speaks " +
-            std::to_string(kProtocolVersion));
-    }
-    const uint16_t type = r.u16();
-    const uint32_t length = r.u32();
-    if (length > maxPayloadBytes) {
-        throw SerializeError(
-            "oversized frame payload: " + std::to_string(length) +
-            " bytes exceeds the " + std::to_string(maxPayloadBytes) +
-            "-byte cap");
-    }
-    Frame frame;
-    frame.type = static_cast<MsgType>(type);
-    frame.payload.resize(length);
-    if (length > 0)
-        r.bytes(frame.payload.data(), length);
-    const uint64_t want = r.u64();
-    const uint64_t got =
-        fnv1a64(frame.payload.data(), frame.payload.size());
-    if (want != got)
+    if (size < kFrameHeaderBytes)
+        throw SerializeError("truncated frame header");
+    const FrameHeader h = decodeFrameHeader(data, maxPayloadBytes);
+    if (h.defect != FrameDefect::None)
+        throw SerializeError(h.error);
+    const uint8_t *body = data + kFrameHeaderBytes;
+    const size_t bodySize = size - kFrameHeaderBytes;
+    const size_t want = size_t{h.length} + kFrameTrailerBytes;
+    if (bodySize < want)
+        throw SerializeError("truncated frame payload");
+    if (!frameChecksumMatches(body, h.length))
         throw SerializeError("frame payload checksum mismatch");
-    if (!r.atEnd()) {
+    if (bodySize > want) {
         throw SerializeError("trailing bytes after frame: " +
-                             std::to_string(r.remaining()) + " unread");
+                             std::to_string(bodySize - want) + " unread");
     }
-    return frame;
+    return Frame{h.type, std::vector<uint8_t>(body, body + h.length)};
 }
 
 // ---- message payloads --------------------------------------------

@@ -7,7 +7,7 @@
  *
  *   offset size  field
  *   0      4     magic "QSV1"
- *   4      2     u16 protocol version (currently 1)
+ *   4      2     u16 protocol version (currently 3)
  *   6      2     u16 message type (MsgType)
  *   8      4     u32 payload byte length
  *   12     len   payload (a message codec below)
@@ -16,11 +16,12 @@
  * with every integer little-endian (util/serialize.hh). The payload
  * length is capped (kDefaultMaxPayloadBytes) so a malicious or
  * corrupt length prefix cannot make the server allocate unboundedly.
- * Frames and payloads decode with ByteReader, so malformed input
- * throws SerializeError — the decoder contract shared with the QSC1
- * cache and QRJ1 journal formats. Requests always travel client to
- * server; each earns exactly one reply frame (the matching *Reply
- * type, or Error).
+ * One header decoder and one checksum check serve both the socket
+ * receive path (recvFrame) and decodeFrame. Payloads decode with
+ * ByteReader, so malformed input throws SerializeError — the decoder
+ * contract shared with the QSC1 cache and QRJ1 journal formats.
+ * Requests always travel client to server; each earns exactly one
+ * reply frame (the matching *Reply type, or Error).
  */
 
 #ifndef QUEST_SERVICE_PROTOCOL_HH
@@ -82,6 +83,33 @@ struct Frame
 /** Encode one complete frame (header + payload + checksum). */
 std::vector<uint8_t> encodeFrame(MsgType type,
                                  const std::vector<uint8_t> &payload);
+
+/** Which header check a frame failed. */
+enum class FrameDefect {
+    None,
+    BadMagic,
+    VersionMismatch,
+    Oversized, //!< length prefix exceeds the payload cap
+};
+
+/** A decoded frame header: type and payload length when defect is
+ *  None, else a message naming the defect. */
+struct FrameHeader
+{
+    FrameDefect defect = FrameDefect::None;
+    std::string error;
+    MsgType type = MsgType::Error;
+    uint32_t length = 0;
+};
+
+/** Decode and check the kFrameHeaderBytes at @p bytes: magic,
+ *  version, then the payload cap. Never throws. */
+FrameHeader decodeFrameHeader(const uint8_t *bytes,
+                              uint32_t maxPayloadBytes);
+
+/** True iff the kFrameTrailerBytes after the @p length payload bytes
+ *  at @p body hold the payload's checksum. */
+bool frameChecksumMatches(const uint8_t *body, uint32_t length);
 
 /**
  * Decode exactly one frame from @p size bytes at @p data. Throws

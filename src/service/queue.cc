@@ -174,29 +174,6 @@ JobQueue::remove(uint64_t jobId)
     return nullptr;
 }
 
-std::vector<std::shared_ptr<Job>>
-JobQueue::drainAll()
-{
-    std::lock_guard<std::mutex> lock(m);
-    std::vector<std::shared_ptr<Job>> all;
-    all.reserve(totalQueued);
-    for (auto &[priority, band] : bands)
-        for (auto &[tenant, lane] : band.lanes)
-            for (auto &job : lane)
-                all.push_back(std::move(job));
-    bands.clear();
-    queuedCount.clear();
-    totalQueued = 0;
-    std::sort(all.begin(), all.end(),
-              [](const auto &a, const auto &b) {
-                  if (a->request.priority != b->request.priority)
-                      return a->request.priority >
-                             b->request.priority;
-                  return a->seq < b->seq;
-              });
-    return all;
-}
-
 void
 JobQueue::close()
 {

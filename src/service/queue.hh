@@ -63,9 +63,6 @@ class JobQueue
 {
   public:
     explicit JobQueue(QueueLimits limits) : lim(std::move(limits)) {}
-    explicit JobQueue(size_t capacity) : JobQueue(QueueLimits{
-          capacity, 0, 0, {}})
-    {}
 
     /**
      * Admit @p job (keyed by its tenant, priority and submission
@@ -93,10 +90,6 @@ class JobQueue
     /** Remove a queued job by id (cancellation before it ever ran).
      *  Returns the job, or nullptr when it is not queued here. */
     std::shared_ptr<Job> remove(uint64_t jobId);
-
-    /** Remove and return everything queued (non-drain shutdown),
-     *  ordered by priority desc then submission seq. */
-    std::vector<std::shared_ptr<Job>> drainAll();
 
     /** Stop admitting; pop() returns queued jobs then nullptr. */
     void close();

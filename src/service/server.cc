@@ -1,7 +1,6 @@
 #include "service/server.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <filesystem>
 
 #include <sys/socket.h>
@@ -123,6 +122,10 @@ QuestServer::QuestServer(ServerConfig config)
                              : cfg.threads);
     pool = std::make_unique<ThreadPool>(budget - 1);
 
+    // A replayed job finds its finished blocks in the cache, so a
+    // daemon with a state directory always has one.
+    if (cfg.cacheDir.empty() && !cfg.stateDir.empty())
+        cfg.cacheDir = cfg.stateDir + "/cache";
     if (!cfg.cacheDir.empty()) {
         cache::CacheConfig cc;
         cc.dir = cfg.cacheDir;
@@ -135,7 +138,6 @@ QuestServer::QuestServer(ServerConfig config)
         journal = std::make_unique<resilience::Journal>(
             cfg.stateDir + "/service.qrj");
         replayJournal();
-        janitorThread = std::thread([this] { janitorLoop(); });
     }
 
     const unsigned executors = std::max(1u, cfg.executors);
@@ -153,9 +155,9 @@ void
 QuestServer::replayJournal()
 {
     // Submits without a terminal record were in flight when the
-    // previous daemon died: re-enqueue them. Their per-job QUEST
-    // checkpoint journals make the re-run replay completed block
-    // syntheses byte-identically instead of recomputing.
+    // previous daemon died: re-enqueue them. The blocks they finished
+    // are in the shared cache, so the re-run loads them instead of
+    // recomputing and its output is byte-identical.
     static auto &replayed = obs::MetricsRegistry::global().counter(
         names::kMetricServiceJobsReplayed);
 
@@ -178,26 +180,6 @@ QuestServer::replayJournal()
     }
     nextId = maxId + 1;
 
-    // A terminal record makes a job's checkpoint journal dead weight;
-    // one is left behind by a crash between the record and the
-    // removal that follows it in finalize(), or by an older daemon.
-    // One pass over jobs/ touches only the journals that exist, not
-    // every job in the service journal's history.
-    std::vector<uint64_t> leftovers;
-    std::error_code ec;
-    for (std::filesystem::directory_iterator it(cfg.stateDir + "/jobs", ec),
-         end;
-         !ec && it != end; it.increment(ec)) {
-        const std::string name = it->path().filename().string();
-        const char *last = name.data() + name.size();
-        uint64_t id = 0;
-        const auto [ptr, err] = std::from_chars(name.data(), last, id);
-        if (err == std::errc() && ptr == last && terminal.count(id))
-            leftovers.push_back(id);
-    }
-    for (uint64_t id : leftovers)
-        removeJobDir(id);
-
     for (auto &[id, request] : pending) {
         if (terminal.count(id))
             continue;
@@ -205,7 +187,6 @@ QuestServer::replayJournal()
         job->id = id;
         job->seq = nextSeq++;
         job->request = std::move(request);
-        job->resumed = true;
         job->admitted = std::chrono::steady_clock::now();
         if (job->request.deadlineSeconds > 0) {
             // The original admission time is gone with the old
@@ -230,7 +211,6 @@ QuestServer::replayJournal()
             w.u8(static_cast<uint8_t>(JobState::Rejected));
             w.i32(job->exitCode);
             journal->append(kRecTerminal, w.take());
-            removeJobDir(job->id);
             terminalCounter(JobState::Rejected).increment();
         }
     }
@@ -339,16 +319,6 @@ QuestServer::stop(bool drain)
     for (ConnSlot &slot : slots) {
         if (slot.thread.joinable())
             slot.thread.join();
-    }
-
-    // Last: a cancel from a connection thread may still finalize a job.
-    if (janitorThread.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(janitorMu);
-            janitorDone = true;
-        }
-        janitorCv.notify_one();
-        janitorThread.join();
     }
 }
 
@@ -838,10 +808,6 @@ QuestServer::runJob(const std::shared_ptr<Job> &job)
     if (diskCache)
         jc.sharedCache = diskCache.get();
     jc.cancel = &job->cancel;
-    if (!cfg.stateDir.empty()) {
-        jc.checkpointDir = jobDir(job->id);
-        jc.resume = job->resumed;
-    }
     // A service job's budget is a contract, not a hint: run under
     // Fail so a fired deadline surfaces as Expired and a fired
     // cancel token as Cancelled, instead of a silently degraded
@@ -951,54 +917,10 @@ QuestServer::finalize(const std::shared_ptr<Job> &job, JobState state,
         w.u8(static_cast<uint8_t>(state));
         w.i32(exitCode);
         journal->append(kRecTerminal, w.take());
-        // Only the job's own executor, or a canceller of a job no
-        // executor holds, gets here: nothing writes the checkpoint
-        // journal any more.
-        {
-            std::lock_guard<std::mutex> janitorLock(janitorMu);
-            finishedJobDirs.push_back(job->id);
-        }
-        janitorCv.notify_one();
     }
     terminalCounter(state).increment();
     stateCv.notify_all();
     return true;
-}
-
-std::string
-QuestServer::jobDir(uint64_t id) const
-{
-    return cfg.stateDir + "/jobs/" + std::to_string(id);
-}
-
-void
-QuestServer::janitorLoop()
-{
-    std::unique_lock<std::mutex> lock(janitorMu);
-    for (;;) {
-        janitorCv.wait(lock, [&] {
-            return janitorDone || !finishedJobDirs.empty();
-        });
-        if (finishedJobDirs.empty())
-            return;
-        std::vector<uint64_t> batch;
-        batch.swap(finishedJobDirs);
-        lock.unlock();
-        for (uint64_t id : batch)
-            removeJobDir(id);
-        lock.lock();
-    }
-}
-
-void
-QuestServer::removeJobDir(uint64_t id) const
-{
-    if (cfg.stateDir.empty())
-        return;
-    std::error_code ec;
-    std::filesystem::remove_all(jobDir(id), ec);
-    if (ec)
-        warn("service: cannot remove ", jobDir(id), ": ", ec.message());
 }
 
 void

@@ -13,13 +13,13 @@
  *     (QuestConfig::sharedCache), so identical block unitaries from
  *     *different* tenants' jobs synthesize once (cross-job dedup);
  *   - one QRJ1 service journal (stateDir/service.qrj) recording every
- *     submit and every terminal transition, plus one per-job QUEST
- *     checkpoint journal (stateDir/jobs/<id>) — a restarted daemon
- *     re-enqueues submits without a terminal record and resumes their
- *     block syntheses byte-identically. A job's checkpoint journal is
- *     removed once its terminal record is written (by a janitor
- *     thread, off the executors' path), and at start-up for every
- *     job that has one (a crash between the two steps).
+ *     submit and every terminal transition — a restarted daemon
+ *     re-enqueues submits without a terminal record. Their finished
+ *     blocks come back from the shared cache, which a daemon with a
+ *     state directory always has (cacheDir, else stateDir/cache): a
+ *     block's synthesis depends only on its unitary and the config,
+ *     so the cache already is the durable copy of every block an
+ *     interrupted job finished, and the re-run is byte-identical.
  *
  * Jobs flow submit → bounded priority queue → one of E executor
  * threads → terminal state. Admission control is the queue bound:
@@ -74,7 +74,6 @@ struct Job
     uint64_t id = 0;
     uint64_t seq = 0; //!< submission order (queue tiebreak)
     SubmitRequest request;
-    bool resumed = false; //!< re-enqueued by crash replay
     resilience::CancelToken cancel;
     resilience::Deadline deadline; //!< armed at admission
     std::chrono::steady_clock::time_point admitted;
@@ -94,11 +93,12 @@ struct ServerConfig
      *  (tests drive it over socketpair fds). */
     std::string socketPath;
 
-    /** Durable state root (service journal + per-job checkpoints);
-     *  empty disables crash-safe replay. */
+    /** Durable state root (the service journal); empty disables
+     *  crash-safe replay. */
     std::string stateDir;
 
-    /** Shared persistent synthesis cache; empty disables it. */
+    /** Shared persistent synthesis cache; empty disables it, unless
+     *  stateDir is set: then the cache is stateDir/cache. */
     std::string cacheDir;
     uint64_t cacheMaxBytes = uint64_t{1} << 30;
 
@@ -194,16 +194,12 @@ class QuestServer
     /** Block until requestStop() has been called (daemon main). */
     void waitStopRequested();
 
-    bool stopRequested() const { return stopping.load(); }
-
     /** The externally visible state of one job. */
     JobStatus statusOf(uint64_t jobId) const;
 
     /** Block until @p jobId is terminal (or @p timeoutSeconds runs
      *  out, 0 = unbounded). Returns its final status. */
     JobStatus waitTerminal(uint64_t jobId, double timeoutSeconds = 0);
-
-    size_t queueDepth() const { return queue.depth(); }
 
     /** Jobs re-enqueued from the service journal at startup. */
     uint64_t replayedJobs() const { return replayedCount; }
@@ -245,25 +241,10 @@ class QuestServer
 
     /** Transition @p job to terminal state @p state (idempotent;
      *  returns false when it already was terminal). Appends the
-     *  terminal journal record, hands the job's checkpoint journal
-     *  to the janitor, bumps the per-state counter and wakes result
-     *  waiters. */
+     *  terminal journal record, bumps the per-state counter and
+     *  wakes result waiters. */
     bool finalize(const std::shared_ptr<Job> &job, JobState state,
                   int exitCode, const std::string &detail);
-
-    /** stateDir/jobs/<id>: the job's QUEST checkpoint journal. */
-    std::string jobDir(uint64_t id) const;
-
-    /** Remove a job's checkpoint journal. Call only once its terminal
-     *  record is in the service journal: a job with one never
-     *  resumes, and without one a restart would resume from it. */
-    void removeJobDir(uint64_t id) const;
-
-    /** Remove the checkpoint journals finalize() queues until stop()
-     *  has drained them. Removing a journal just written can take
-     *  milliseconds, which on an executor would delay every job
-     *  queued behind it. */
-    void janitorLoop();
 
     void setQueueDepthGauge();
 
@@ -313,12 +294,6 @@ class QuestServer
 
     /** Join and erase finished connection slots (connMu held). */
     void reapConnSlotsLocked();
-
-    std::mutex janitorMu;
-    std::condition_variable janitorCv;
-    std::vector<uint64_t> finishedJobDirs; //!< under janitorMu
-    bool janitorDone = false;              //!< under janitorMu
-    std::thread janitorThread;             //!< runs with a stateDir
 };
 
 } // namespace quest::service

@@ -96,31 +96,6 @@ readExact(int fd, uint8_t *buf, size_t n, const IoDeadline &deadline,
     return IoOutcome::Ok;
 }
 
-uint16_t
-le16(const uint8_t *p)
-{
-    return static_cast<uint16_t>(p[0] |
-                                 (static_cast<uint16_t>(p[1]) << 8));
-}
-
-uint32_t
-le32(const uint8_t *p)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-uint64_t
-le64(const uint8_t *p)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 RecvResult
 fail(RecvStatus status, std::string error)
 {
@@ -179,28 +154,23 @@ recvFrame(int fd, uint32_t maxPayloadBytes, SocketTimeouts timeouts)
                     "injected mid-frame stall (service.recv.stall)");
     }
 
-    if (std::memcmp(header, kFrameMagic, sizeof kFrameMagic) != 0)
-        return fail(RecvStatus::Malformed,
-                    "bad frame magic (want \"QSV1\")");
-    const uint16_t version = le16(header + 4);
-    if (version != kProtocolVersion) {
-        return fail(RecvStatus::VersionMismatch,
-                    "protocol version mismatch: got " +
-                        std::to_string(version) +
-                        ", this peer speaks " +
-                        std::to_string(kProtocolVersion));
-    }
-    const uint16_t type = le16(header + 6);
-    const uint32_t length = le32(header + 8);
-    if (length > maxPayloadBytes) {
-        return fail(RecvStatus::Oversized,
-                    "oversized frame payload: " +
-                        std::to_string(length) + " bytes exceeds the " +
-                        std::to_string(maxPayloadBytes) + "-byte cap");
+    FrameHeader h = decodeFrameHeader(header, maxPayloadBytes);
+    switch (h.defect) {
+      case FrameDefect::None:
+        break;
+      case FrameDefect::BadMagic:
+        return fail(RecvStatus::Malformed, std::move(h.error));
+      case FrameDefect::VersionMismatch:
+        return fail(RecvStatus::VersionMismatch, std::move(h.error));
+      case FrameDefect::Oversized:
+        return fail(RecvStatus::Oversized, std::move(h.error));
     }
 
-    std::vector<uint8_t> body(static_cast<size_t>(length) +
-                              kFrameTrailerBytes);
+    // The payload and its checksum trailer land in the frame's own
+    // buffer; the trailer is cut off once checked.
+    RecvResult result;
+    std::vector<uint8_t> &body = result.frame.payload;
+    body.resize(size_t{h.length} + kFrameTrailerBytes);
     switch (readExact(fd, body.data(), body.size(), frameDeadline,
                       got)) {
       case IoOutcome::Ok:
@@ -218,17 +188,12 @@ recvFrame(int fd, uint32_t maxPayloadBytes, SocketTimeouts timeouts)
                         std::strerror(errno));
     }
 
-    const uint64_t want = le64(body.data() + length);
-    const uint64_t got_sum = fnv1a64(body.data(), length);
-    if (want != got_sum)
+    if (!frameChecksumMatches(body.data(), h.length))
         return fail(RecvStatus::Malformed,
                     "frame payload checksum mismatch");
-
-    RecvResult result;
+    body.resize(h.length);
     result.status = RecvStatus::Ok;
-    result.frame.type = static_cast<MsgType>(type);
-    result.frame.payload.assign(body.begin(),
-                                body.begin() + length);
+    result.frame.type = h.type;
     return result;
 }
 

@@ -74,8 +74,9 @@ struct SocketTimeouts
 };
 
 /**
- * Read exactly one frame from @p fd. Header and payload are
- * validated as in decodeFrame(); mid-frame EOF is Malformed (a torn
+ * Read exactly one frame from @p fd. Header and payload are checked
+ * as in decodeFrame(), by the same decodeFrameHeader() and
+ * frameChecksumMatches(); mid-frame EOF is Malformed (a torn
  * frame), EOF before any header byte is Eof. With deadlines set, a
  * frame that fails to complete within `ioMs` of its first byte is
  * Stalled and a connection with no traffic for `idleMs` is Idle;

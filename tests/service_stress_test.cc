@@ -3,7 +3,8 @@
  * Service stress tests: cross-job synthesis-cache dedup under 8
  * concurrent client threads (the tsan target), warm-resubmission
  * zero-miss behavior, and SIGKILL-and-resume — a restarted daemon
- * replays in-flight checkpointed jobs byte-identically.
+ * replays in-flight jobs byte-identically, their finished blocks
+ * served from its synthesis cache.
  */
 
 #include <gtest/gtest.h>
@@ -156,8 +157,8 @@ TEST(ServiceStress, CrossJobDedupUnderConcurrentClients)
     EXPECT_EQ(doneJobs.load(), 2u * kThreads);
 
     // Dedup accounting is exact: every block is either a cache hit
-    // (in-memory dedup, the shared disk cache, or a checkpoint) or
-    // an actual LEAP search.
+    // (in-memory dedup or the shared disk cache) or an actual LEAP
+    // search.
     const uint64_t hits =
         counterValue(names::kMetricSynthCacheHits);
     const uint64_t misses =
@@ -237,23 +238,24 @@ TEST(ServiceStress, KillAndResumeReplaysInFlightJobByteIdentically)
             pause(); // hold the process open until SIGKILL
     }
 
-    // Wait until the job's checkpoint journal exists and has grown
-    // past its initial size (at least one block checkpointed), then
-    // kill the daemon mid-job.
-    const fs::path jobJournal = state / "jobs" / "1" / "journal.qrj";
+    // Wait until the daemon's cache holds its first entry (at least
+    // one block synthesized and published), then kill it mid-job.
+    const fs::path objects = state / "cache" / "objects";
     QUEST_RESULT_NEUTRAL("when the SIGKILL lands only shifts how many "
-                         "blocks replay from the checkpoint; the "
-                         "resumed result is byte-identical either way");
-    uintmax_t initial = 0;
+                         "blocks the cache serves; the resumed result "
+                         "is byte-identical either way");
+    const auto hasEntry = [&] {
+        std::error_code ec;
+        for (fs::recursive_directory_iterator it(objects, ec), end;
+             !ec && it != end; it.increment(ec)) {
+            if (it->path().extension() == ".qsc")
+                return true;
+        }
+        return false;
+    };
     const auto giveUp =
         std::chrono::steady_clock::now() + std::chrono::minutes(5);
-    for (;;) {
-        std::error_code ec;
-        const uintmax_t size = fs::file_size(jobJournal, ec);
-        if (!ec && initial == 0)
-            initial = size;
-        if (!ec && initial != 0 && size > initial)
-            break;
+    while (!hasEntry()) {
         if (std::chrono::steady_clock::now() > giveUp)
             break; // kill anyway; resume must still be identical
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -264,10 +266,11 @@ TEST(ServiceStress, KillAndResumeReplaysInFlightJobByteIdentically)
     ASSERT_TRUE(WIFSIGNALED(wstatus));
 
     // The restarted daemon finds the submit record without a
-    // terminal record, re-enqueues the job, and its checkpoint
-    // journal replays the already-synthesized blocks.
+    // terminal record and re-enqueues the job, which loads the
+    // blocks the killed run finished from the cache.
     const uint64_t replayed0 =
         counterValue(names::kMetricServiceJobsReplayed);
+    const uint64_t hits0 = counterValue(names::kMetricCacheHit);
     ServerConfig config;
     config.stateDir = state.string();
     config.executors = 1;
@@ -278,6 +281,8 @@ TEST(ServiceStress, KillAndResumeReplaysInFlightJobByteIdentically)
 
     const JobStatus status = server.waitTerminal(1);
     ASSERT_EQ(status.state, JobState::Done) << status.detail;
+    EXPECT_GE(counterValue(names::kMetricCacheHit), hits0 + 1)
+        << "the resumed run must load the killed run's blocks";
 
     QuestClient client = connectLocal(server);
     const ResultReply result = client.result(1);
@@ -292,9 +297,6 @@ TEST(ServiceStress, KillAndResumeReplaysInFlightJobByteIdentically)
                   expected.samples[s].cnotCount);
     }
     server.stop();
-    // The resumed job is Done, so once stop() has drained the janitor
-    // its checkpoint journal is gone.
-    EXPECT_FALSE(fs::exists(state / "jobs" / "1"));
 
     // A second restart replays nothing: the terminal record landed,
     // and (at-most-once delivery) the result is not retained.

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -365,6 +366,32 @@ TEST(Qsv1Socket, RecvStatusesOverSocketpair)
         EXPECT_NE(r.error.find("torn"), std::string::npos);
         close(b);
     }
+    // Bad magic -> Malformed, before any body read.
+    {
+        auto [a, b] = streamPair();
+        std::vector<uint8_t> bad = frame;
+        bad[0] = 'X';
+        ASSERT_EQ(static_cast<size_t>(write(a, bad.data(), bad.size())),
+                  bad.size());
+        const RecvResult r = recvFrame(b);
+        EXPECT_EQ(r.status, RecvStatus::Malformed);
+        EXPECT_NE(r.error.find("magic"), std::string::npos);
+        close(a);
+        close(b);
+    }
+    // Corrupt payload byte -> Malformed (checksum mismatch).
+    {
+        auto [a, b] = streamPair();
+        std::vector<uint8_t> bad = frame;
+        bad[kFrameHeaderBytes] ^= 0x01;
+        ASSERT_EQ(static_cast<size_t>(write(a, bad.data(), bad.size())),
+                  bad.size());
+        const RecvResult r = recvFrame(b);
+        EXPECT_EQ(r.status, RecvStatus::Malformed);
+        EXPECT_NE(r.error.find("checksum"), std::string::npos);
+        close(a);
+        close(b);
+    }
     // Version mismatch is its own status (the server replies with
     // an Error frame naming both versions before dropping).
     {
@@ -670,15 +697,14 @@ TEST(ServiceProperty, PriorityOrderIsDeterministic)
 
 TEST(ServiceEndToEnd, TerminalJobsLeaveNoCheckpointJournal)
 {
+    // A daemon's durable state is its service journal and the
+    // synthesis cache it keeps under the state directory: a job of
+    // any outcome writes no journal of its own.
     TempDir tmp;
     const fs::path state = tmp.path / "state";
-    const auto jobDir = [&](uint64_t id) {
-        return state / "jobs" / std::to_string(id);
-    };
     ServerConfig config;
     config.stateDir = state.string();
     config.executors = 1;
-    uint64_t doneId = 0;
     {
         QuestServer server(config);
         QuestClient client = connectLocal(server);
@@ -688,52 +714,37 @@ TEST(ServiceEndToEnd, TerminalJobsLeaveNoCheckpointJournal)
         tiny.qasm = tinyQasm(0.3);
         const SubmitReply done = client.submit(tiny);
         ASSERT_TRUE(done.accepted);
-        doneId = done.jobId;
         EXPECT_EQ(server.waitTerminal(done.jobId).state, JobState::Done);
 
-        // A job that fails before its pipeline starts still clears a
-        // directory under its id (here one planted in advance).
-        const uint64_t failedId = done.jobId + 1;
-        fs::create_directories(jobDir(failedId));
         SubmitRequest bad;
         bad.qasm = "this is not qasm";
         const SubmitReply failed = client.submit(bad);
         ASSERT_TRUE(failed.accepted);
-        ASSERT_EQ(failed.jobId, failedId);
-        EXPECT_EQ(server.waitTerminal(failedId).state, JobState::Failed);
+        EXPECT_EQ(server.waitTerminal(failed.jobId).state,
+                  JobState::Failed);
 
-        // Cancel a running job once it has a checkpoint journal.
         SubmitRequest heavy;
         heavy.qasm = toQasm(algos::qft(5));
         heavy.options.maxLayers = 10;
         const SubmitReply running = client.submit(heavy);
         ASSERT_TRUE(running.accepted);
-        for (int polls = 0; polls < 10000 && !fs::exists(jobDir(
-                                                 running.jobId));
-             ++polls)
-            usleep(1000);
-        ASSERT_TRUE(fs::exists(jobDir(running.jobId)));
+        ASSERT_TRUE(leftQueue(client, running.jobId));
         client.cancelJob(running.jobId);
         EXPECT_EQ(server.waitTerminal(running.jobId).state,
                   JobState::Cancelled);
-
-        // stop() drains the janitor that removes the directories.
         server.stop();
-        for (uint64_t id : {done.jobId, failedId, running.jobId})
-            EXPECT_FALSE(fs::exists(jobDir(id))) << "job " << id;
     }
 
-    // A crash between a job's terminal record and the removal leaves
-    // its directory behind; the next daemon sweeps it at start-up and
-    // leaves alone what is not a terminal job's journal.
-    fs::create_directories(jobDir(doneId));
-    fs::create_directories(jobDir(doneId + 100));
-    fs::create_directories(state / "jobs" / "notes");
+    std::set<std::string> entries;
+    // QUEST_ANALYZE_OK(determinism.fs-order): collected into a sorted set
+    for (const fs::directory_entry &entry : fs::directory_iterator(state))
+        entries.insert(entry.path().filename().string());
+    EXPECT_EQ(entries, (std::set<std::string>{"cache", "service.qrj"}));
+    EXPECT_TRUE(fs::is_directory(state / "cache"));
+
+    // Every job reached a terminal record, so a restart replays none.
     QuestServer again(config);
     EXPECT_EQ(again.replayedJobs(), 0u);
-    EXPECT_FALSE(fs::exists(jobDir(doneId)));
-    EXPECT_TRUE(fs::exists(jobDir(doneId + 100)));
-    EXPECT_TRUE(fs::exists(state / "jobs" / "notes"));
     again.stop();
 }
 

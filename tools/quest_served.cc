@@ -12,9 +12,11 @@
  *
  * Options:
  *   --socket <path>      Unix socket to listen on (required)
- *   --state-dir <dir>    durable job journal + per-job checkpoints;
- *                        a restarted daemon replays in-flight jobs
- *   --cache-dir <dir>    shared persistent synthesis cache
+ *   --state-dir <dir>    durable job journal; a restarted daemon
+ *                        replays in-flight jobs, their finished blocks
+ *                        served from the synthesis cache
+ *   --cache-dir <dir>    shared persistent synthesis cache (default
+ *                        <state-dir>/cache with --state-dir, else none)
  *   --cache-max-bytes n  cache size cap (default 1 GiB)
  *   --threads <n>        shared synthesis and certify thread budget
  *                        (0 = cores)
@@ -60,8 +62,9 @@ usage()
     std::cerr
         << "usage: quest_served --socket <path> [options]\n"
         << "options:\n"
-        << "  --state-dir dir      durable journal + checkpoints\n"
-        << "  --cache-dir dir      shared synthesis cache\n"
+        << "  --state-dir dir      durable job journal\n"
+        << "  --cache-dir dir      shared synthesis cache "
+           "(default state-dir/cache)\n"
         << "  --cache-max-bytes n  cache size cap\n"
         << "  --threads n          synthesis and certify threads\n"
         << "  --executors n        concurrent jobs\n"
