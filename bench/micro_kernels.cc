@@ -345,7 +345,8 @@ BENCHMARK(BM_DualAnnealingStep);
  * One whole STEP-3 dualAnnealing run, chain and polish, over a
  * synthetic SelectionObjective with tfim_128-like tables: 6, 7, 13 or
  * 24 approximations a block (index 0 the original) and 3 selected
- * samples. Arg: block count (87 as in qaoa_64, 475 as in tfim_128).
+ * samples. Arg: block count (1 and 4 as in the service's repeat
+ * circuits, 87 as in qaoa_64, 475 as in tfim_128).
  */
 void
 BM_AnnealSelection(benchmark::State &state)
@@ -390,7 +391,7 @@ BM_AnnealSelection(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(dualAnnealing(objective, lo, hi, opts));
 }
-BENCHMARK(BM_AnnealSelection)->Arg(87)->Arg(475)
+BENCHMARK(BM_AnnealSelection)->Arg(1)->Arg(4)->Arg(87)->Arg(475)
     ->Unit(benchmark::kMillisecond);
 
 /**

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numbers>
 
 #include "obs/metrics.hh"
@@ -18,67 +19,115 @@ namespace {
 
 constexpr double pi = std::numbers::pi;
 
-/**
- * Tsallis visiting distribution (the step generator of generalized
- * simulated annealing). Precomputes the temperature-independent
- * factors of SciPy's implementation once, and the temperature's
- * factors once per sweep.
- */
-class VisitingDistribution
+/** One step index's entries of the annealing schedule. */
+struct ScheduleStep
 {
-  public:
-    VisitingDistribution(double qv, Rng &rng) : qv(qv), rng(rng)
-    {
-        factor2 = std::exp((4.0 - qv) * std::log(qv - 1.0));
-        factor3 =
-            std::exp((2.0 - qv) * std::log(2.0) / (qv - 1.0));
-        factor4p = std::sqrt(pi) * factor2 / (factor3 * (3.0 - qv));
-        double factor5 = 1.0 / (qv - 1.0) - 0.5;
-        double d1 = 2.0 - factor5;
-        // lgamma_r, not std::lgamma: glibc's lgamma writes the global
-        // signgam, a data race when annealers run on several executor
-        // threads at once.
-        int sign = 0;
-        factor6 = pi * (1.0 - factor5) /
-                  std::sin(pi * (1.0 - factor5)) /
-                  std::exp(lgamma_r(d1, &sign));
-    }
-
-    /** Set the temperature of the following step() draws. */
-    void
-    setTemperature(double temperature)
-    {
-        double factor1 =
-            std::exp(std::log(temperature) / (qv - 1.0));
-        double factor4 = factor4p * factor1;
-        scale = std::exp(-(qv - 1.0) * std::log(factor6 / factor4) /
-                         (3.0 - qv));
-    }
-
-    /** One heavy-tailed step at the current temperature. */
-    double
-    step()
-    {
-        double x = rng.normal() * scale;
-        double y = rng.normal();
-        double den = std::exp((qv - 1.0) *
-                              std::log(std::abs(y)) / (3.0 - qv));
-        double visit = x / den;
-        // Tail clipping as in SciPy to avoid overflow-scale steps.
-        constexpr double tail = 1e8;
-        if (visit > tail)
-            return tail * rng.uniform();
-        if (visit < -tail)
-            return -tail * rng.uniform();
-        return visit;
-    }
-
-  private:
-    double qv;
-    Rng &rng;
-    double factor2, factor3, factor4p, factor6;
-    double scale = 0.0;  //!< the current temperature's step scale
+    bool restart;       //!< T_k is below the restart temperature
+    double acceptTemp;  //!< T_k / (k + 1), the acceptance temperature
+    double visitScale;  //!< the visiting distribution's scale at T_k
 };
+
+/** The options a schedule depends on. */
+struct ScheduleKey
+{
+    double initialTemp;
+    double visitParam;
+    double restartTempRatio;
+    int maxIterations;
+
+    bool operator==(const ScheduleKey &) const = default;
+};
+
+using Schedule = std::vector<ScheduleStep>;
+
+/**
+ * The schedule of @p key, indexed by step index k from 1 to
+ * maxIterations. The temperature T_k = T0 (2^(qv-1) - 1) /
+ * ((k+1)^(qv-1) - 1) depends on the step index alone, and so does
+ * the scale of the Tsallis visiting distribution (the step generator
+ * of generalized simulated annealing) at T_k. Every entry is computed
+ * by the expression a run once evaluated at each step, with SciPy's
+ * temperature-independent factors computed once, so a run that reads
+ * the table is bit for bit the run that computed it.
+ */
+Schedule
+buildSchedule(const ScheduleKey &key)
+{
+    const double qv = key.visitParam;
+    const double factor2 = std::exp((4.0 - qv) * std::log(qv - 1.0));
+    const double factor3 =
+        std::exp((2.0 - qv) * std::log(2.0) / (qv - 1.0));
+    const double factor4p =
+        std::sqrt(pi) * factor2 / (factor3 * (3.0 - qv));
+    const double factor5 = 1.0 / (qv - 1.0) - 0.5;
+    const double d1 = 2.0 - factor5;
+    // lgamma_r, not std::lgamma: glibc's lgamma writes the global
+    // signgam, a data race when annealers run on several executor
+    // threads at once.
+    int sign = 0;
+    const double factor6 = pi * (1.0 - factor5) /
+                           std::sin(pi * (1.0 - factor5)) /
+                           std::exp(lgamma_r(d1, &sign));
+    const double t1 = std::exp((qv - 1.0) * std::log(2.0)) - 1.0;
+
+    Schedule steps(static_cast<size_t>(std::max(key.maxIterations, 0)) +
+                   1);
+    for (size_t k = 1; k < steps.size(); ++k) {
+        const double t2 =
+            std::exp((qv - 1.0) *
+                     std::log(static_cast<double>(k) + 1.0)) -
+            1.0;
+        const double temperature = key.initialTemp * t1 / t2;
+        const double factor1 =
+            std::exp(std::log(temperature) / (qv - 1.0));
+        const double factor4 = factor4p * factor1;
+        steps[k] = {
+            temperature < key.initialTemp * key.restartTempRatio,
+            temperature / static_cast<double>(k + 1),
+            std::exp(-(qv - 1.0) * std::log(factor6 / factor4) /
+                     (3.0 - qv))};
+    }
+    return steps;
+}
+
+/**
+ * The calling thread's schedule for @p options: built on the first
+ * run with these options and kept until a run with others. Shared,
+ * so an objective that runs an annealer of its own cannot free the
+ * schedule of the run that called it.
+ */
+std::shared_ptr<const Schedule>
+threadSchedule(const AnnealOptions &options)
+{
+    const ScheduleKey key{options.initialTemp, options.visitParam,
+                          options.restartTempRatio,
+                          options.maxIterations};
+    thread_local ScheduleKey builtFor{};
+    thread_local std::shared_ptr<const Schedule> built;
+    if (!built || builtFor != key) {
+        built = std::make_shared<const Schedule>(buildSchedule(key));
+        builtFor = key;
+    }
+    return built;
+}
+
+/** One heavy-tailed Tsallis visiting step at scale @p scale. */
+double
+visitStep(Rng &rng, double qv, double scale)
+{
+    double x = rng.normal() * scale;
+    double y = rng.normal();
+    double den =
+        std::exp((qv - 1.0) * std::log(std::abs(y)) / (3.0 - qv));
+    double visit = x / den;
+    // Tail clipping as in SciPy to avoid overflow-scale steps.
+    constexpr double tail = 1e8;
+    if (visit > tail)
+        return tail * rng.uniform();
+    if (visit < -tail)
+        return -tail * rng.uniform();
+    return visit;
+}
 
 /** Wrap a coordinate back into [lo, hi] (SciPy's modulo fold). */
 double
@@ -156,8 +205,9 @@ dualAnnealing(CoordinateObjective &objective,
     QUEST_ASSERT(options.visitParam > 1.0 && options.visitParam < 3.0,
                  "visiting parameter must be in (1, 3)");
 
+    const std::shared_ptr<const Schedule> schedule =
+        threadSchedule(options);
     Rng rng(options.seed);
-    VisitingDistribution visit(options.visitParam, rng);
     AnnealResult result;
     result.evaluations = 0;
 
@@ -195,7 +245,6 @@ dualAnnealing(CoordinateObjective &objective,
 
     const double qv = options.visitParam;
     const double qa = options.acceptParam;
-    const double t1 = std::exp((qv - 1.0) * std::log(2.0)) - 1.0;
 
     int steps = 0, acceptances = 0, restarts = 0;
     int step_index = 1;
@@ -207,15 +256,9 @@ dualAnnealing(CoordinateObjective &objective,
             break;
         }
 
-        double t2 = std::exp((qv - 1.0) *
-                             std::log(static_cast<double>(step_index) +
-                                      1.0)) -
-                    1.0;
-        double temperature = options.initialTemp * t1 / t2;
-
+        const ScheduleStep &at = (*schedule)[step_index];
         ++steps;
-        if (temperature < options.initialTemp *
-                              options.restartTempRatio) {
+        if (at.restart) {
             // Re-anneal: reset the schedule and re-randomize.
             ++restarts;
             step_index = 1;
@@ -231,15 +274,17 @@ dualAnnealing(CoordinateObjective &objective,
 
         // Alternate full-vector moves and single-coordinate moves
         // (SciPy's strategy chain, condensed).
-        visit.setTemperature(temperature);
         candidate = current;
         if (iter % 2 == 1) {
             for (size_t i = 0; i < dim; ++i)
-                candidate[i] = wrap(current[i] + visit.step(), lo[i],
-                                    hi[i]);
+                candidate[i] = wrap(
+                    current[i] + visitStep(rng, qv, at.visitScale),
+                    lo[i], hi[i]);
         } else {
             size_t i = rng.uniformInt(static_cast<uint32_t>(dim));
-            candidate[i] = wrap(current[i] + visit.step(), lo[i], hi[i]);
+            candidate[i] = wrap(
+                current[i] + visitStep(rng, qv, at.visitScale), lo[i],
+                hi[i]);
         }
 
         double f_candidate = eval(candidate);
@@ -247,10 +292,8 @@ dualAnnealing(CoordinateObjective &objective,
         if (f_candidate <= f_current) {
             accept = true;
         } else {
-            double t_accept =
-                temperature / static_cast<double>(step_index + 1);
-            double pqa = 1.0 -
-                         (1.0 - qa) * (f_candidate - f_current) / t_accept;
+            double pqa = 1.0 - (1.0 - qa) * (f_candidate - f_current) /
+                                   at.acceptTemp;
             double p = pqa <= 0.0
                            ? 0.0
                            : std::exp(std::log(pqa) / (1.0 - qa));

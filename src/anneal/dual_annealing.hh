@@ -6,7 +6,10 @@
  * SciPy's dual_annealing [Xiang et al.; Tsallis]: a distorted-Cauchy
  * visiting distribution with parameter q_v, a generalized Metropolis
  * acceptance with parameter q_a, geometric-like temperature decay
- * with restarts, and an optional greedy local-polish phase.
+ * with restarts, and an optional greedy local-polish phase. The
+ * temperature schedule depends on the step index alone, so each
+ * thread tabulates it once for the options that shape it and every
+ * later run with those options reads the table.
  */
 
 #ifndef QUEST_ANNEAL_DUAL_ANNEALING_HH

@@ -272,112 +272,145 @@ Gate::toString() const
 
 namespace {
 
-Matrix
-oneQubitMatrix(const Gate &g)
+/** Write the row-major 2x2 {a, b; c, d} to @p m. */
+void
+put(Complex *m, Complex a, Complex b, Complex c, Complex d)
+{
+    m[0] = a;
+    m[1] = b;
+    m[2] = c;
+    m[3] = d;
+}
+
+void
+oneQubitUnitary(const Gate &g, Complex *m)
 {
     const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
     switch (g.type) {
       case GateType::U1:
-        return {{1.0, 0.0}, {0.0, std::polar(1.0, g.params[0])}};
+        return put(m, 1.0, 0.0, 0.0, std::polar(1.0, g.params[0]));
       case GateType::U2: {
         Complex eip = std::polar(1.0, g.params[0]);
         Complex eil = std::polar(1.0, g.params[1]);
-        Matrix m = {{1.0, -eil}, {eip, eip * eil}};
-        return m * Complex(inv_sqrt2, 0.0);
+        const Complex scale(inv_sqrt2, 0.0);
+        return put(m, Complex(1.0) * scale, -eil * scale, eip * scale,
+                   eip * eil * scale);
       }
-      case GateType::U3:
-        return makeU3(g.params[0], g.params[1], g.params[2]);
+      case GateType::U3: {
+        const std::array<Complex, 4> e =
+            u3Entries(g.params[0], g.params[1], g.params[2]);
+        return put(m, e[0], e[1], e[2], e[3]);
+      }
       case GateType::RX: {
         double c = std::cos(g.params[0] / 2), s = std::sin(g.params[0] / 2);
-        return {{c, Complex(0, -s)}, {Complex(0, -s), c}};
+        return put(m, c, Complex(0, -s), Complex(0, -s), c);
       }
       case GateType::RY: {
         double c = std::cos(g.params[0] / 2), s = std::sin(g.params[0] / 2);
-        return {{c, -s}, {s, c}};
+        return put(m, c, -s, s, c);
       }
       case GateType::RZ: {
         Complex e = std::polar(1.0, g.params[0] / 2);
-        return {{std::conj(e), 0.0}, {0.0, e}};
+        return put(m, std::conj(e), 0.0, 0.0, e);
       }
       case GateType::X:
-        return {{0.0, 1.0}, {1.0, 0.0}};
+        return put(m, 0.0, 1.0, 1.0, 0.0);
       case GateType::Y:
-        return {{0.0, Complex(0, -1)}, {Complex(0, 1), 0.0}};
+        return put(m, 0.0, Complex(0, -1), Complex(0, 1), 0.0);
       case GateType::Z:
-        return {{1.0, 0.0}, {0.0, -1.0}};
+        return put(m, 1.0, 0.0, 0.0, -1.0);
       case GateType::H:
-        return {{inv_sqrt2, inv_sqrt2}, {inv_sqrt2, -inv_sqrt2}};
+        return put(m, inv_sqrt2, inv_sqrt2, inv_sqrt2, -inv_sqrt2);
       case GateType::S:
-        return {{1.0, 0.0}, {0.0, Complex(0, 1)}};
+        return put(m, 1.0, 0.0, 0.0, Complex(0, 1));
       case GateType::Sdg:
-        return {{1.0, 0.0}, {0.0, Complex(0, -1)}};
+        return put(m, 1.0, 0.0, 0.0, Complex(0, -1));
       case GateType::T:
-        return {{1.0, 0.0}, {0.0, std::polar(1.0, pi / 4)}};
+        return put(m, 1.0, 0.0, 0.0, std::polar(1.0, pi / 4));
       case GateType::Tdg:
-        return {{1.0, 0.0}, {0.0, std::polar(1.0, -pi / 4)}};
+        return put(m, 1.0, 0.0, 0.0, std::polar(1.0, -pi / 4));
       case GateType::SX: {
         Complex a(0.5, 0.5), b(0.5, -0.5);
-        return {{a, b}, {b, a}};
+        return put(m, a, b, b, a);
       }
       default:
         QUEST_PANIC("not a one-qubit matrix gate: ", gateName(g.type));
     }
 }
 
-Matrix
-twoQubitMatrix(const Gate &g)
+/** A 2^k-dimensional unitary that starts as zero or the identity. */
+class Entries
+{
+  public:
+    Entries(Complex *m, size_t dim, bool identity) : m(m), dim(dim)
+    {
+        std::fill(m, m + dim * dim, Complex(0.0, 0.0));
+        if (identity)
+            for (size_t i = 0; i < dim; ++i)
+                (*this)(i, i) = Complex(1.0, 0.0);
+    }
+
+    Complex &operator()(size_t r, size_t c) { return m[r * dim + c]; }
+
+  private:
+    Complex *m;
+    size_t dim;
+};
+
+void
+twoQubitUnitary(const Gate &g, Complex *out)
 {
     switch (g.type) {
       case GateType::CX: {
-        Matrix m = Matrix::identity(4);
+        Entries m(out, 4, true);
         m(2, 2) = 0; m(3, 3) = 0;
         m(2, 3) = 1; m(3, 2) = 1;
-        return m;
+        return;
       }
       case GateType::CZ: {
-        Matrix m = Matrix::identity(4);
+        Entries m(out, 4, true);
         m(3, 3) = -1;
-        return m;
+        return;
       }
       case GateType::SWAP: {
-        Matrix m(4, 4);
+        Entries m(out, 4, false);
         m(0, 0) = 1; m(1, 2) = 1; m(2, 1) = 1; m(3, 3) = 1;
-        return m;
+        return;
       }
       case GateType::RZZ: {
         Complex e = std::polar(1.0, g.params[0] / 2);
-        Matrix m(4, 4);
+        Entries m(out, 4, false);
         m(0, 0) = std::conj(e); m(1, 1) = e;
         m(2, 2) = e; m(3, 3) = std::conj(e);
-        return m;
+        return;
       }
       case GateType::RXX: {
         double c = std::cos(g.params[0] / 2), s = std::sin(g.params[0] / 2);
         Complex is(0, s);
-        Matrix m(4, 4);
+        Entries m(out, 4, false);
         m(0, 0) = c; m(1, 1) = c; m(2, 2) = c; m(3, 3) = c;
         m(0, 3) = -is; m(1, 2) = -is; m(2, 1) = -is; m(3, 0) = -is;
-        return m;
+        return;
       }
       case GateType::RYY: {
         double c = std::cos(g.params[0] / 2), s = std::sin(g.params[0] / 2);
         Complex is(0, s);
-        Matrix m(4, 4);
+        Entries m(out, 4, false);
         m(0, 0) = c; m(1, 1) = c; m(2, 2) = c; m(3, 3) = c;
         m(0, 3) = is; m(1, 2) = -is; m(2, 1) = -is; m(3, 0) = is;
-        return m;
+        return;
       }
       case GateType::CRZ: {
         Complex e = std::polar(1.0, g.params[0] / 2);
-        Matrix m = Matrix::identity(4);
+        Entries m(out, 4, true);
         m(2, 2) = std::conj(e);
         m(3, 3) = e;
-        return m;
+        return;
       }
       case GateType::CP: {
-        Matrix m = Matrix::identity(4);
+        Entries m(out, 4, true);
         m(3, 3) = std::polar(1.0, g.params[0]);
-        return m;
+        return;
       }
       default:
         QUEST_PANIC("not a two-qubit matrix gate: ", gateName(g.type));
@@ -386,27 +419,39 @@ twoQubitMatrix(const Gate &g)
 
 } // namespace
 
-Matrix
-gateMatrix(const Gate &gate)
+void
+gateUnitary(const Gate &gate, std::span<Complex> out)
 {
-    switch (gateArity(gate.type)) {
+    const int arity = gateArity(gate.type);
+    QUEST_ASSERT(arity >= 1 && arity <= 3 &&
+                     out.size() >= (size_t{1} << (2 * arity)),
+                 "gateUnitary: ", out.size(), " entries for arity ",
+                 arity);
+    switch (arity) {
       case 1:
         QUEST_ASSERT(gate.type != GateType::Measure &&
                      gate.type != GateType::Barrier,
                      "pseudo-op has no unitary");
-        return oneQubitMatrix(gate);
+        return oneQubitUnitary(gate, out.data());
       case 2:
-        return twoQubitMatrix(gate);
-      case 3: {
+        return twoQubitUnitary(gate, out.data());
+      default: {
         QUEST_ASSERT(gate.type == GateType::CCX, "unexpected 3q gate");
-        Matrix m = Matrix::identity(8);
+        Entries m(out.data(), 8, true);
         m(6, 6) = 0; m(7, 7) = 0;
         m(6, 7) = 1; m(7, 6) = 1;
-        return m;
+        return;
       }
-      default:
-        QUEST_PANIC("unsupported arity");
     }
+}
+
+Matrix
+gateMatrix(const Gate &gate)
+{
+    const size_t dim = size_t{1} << gateArity(gate.type);
+    Matrix m(dim, dim);
+    gateUnitary(gate, m.data());
+    return m;
 }
 
 } // namespace quest

@@ -304,6 +304,13 @@ static_assert(std::is_nothrow_move_constructible_v<Gate> &&
  */
 Matrix gateMatrix(const Gate &gate);
 
+/**
+ * gateMatrix(@p gate)'s entries, row-major, written to @p out without
+ * a heap Matrix. @p out holds at least 4^arity entries; the first
+ * 4^arity are all written.
+ */
+void gateUnitary(const Gate &gate, std::span<Complex> out);
+
 } // namespace quest
 
 #endif // QUEST_IR_GATE_HH

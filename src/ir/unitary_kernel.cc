@@ -59,13 +59,14 @@ UnitaryPlan::UnitaryPlan(const Circuit &circuit)
             steps.push_back(step);
             continue;
         }
-        const Matrix m = gateMatrix(g);
         const size_t k = g.qubits.size();
         if (k == 1) {
+            std::array<Complex, 4> m;
+            gateUnitary(g, m);
             step.kind = Kind::Pair;
             step.bit = row_bit(g.qubits[0]);
             for (unsigned i = 0; i < 4; ++i) {
-                const Complex c = m(i / 2, i % 2);
+                const Complex c = m[i];
                 step.g[2 * i] = c.real();
                 step.g[2 * i + 1] = c.imag();
                 if (c != Complex(0.0, 0.0))
@@ -75,8 +76,13 @@ UnitaryPlan::UnitaryPlan(const Circuit &circuit)
             continue;
         }
         QUEST_ASSERT(k <= kMaxArity, "gate on ", k, " wires");
+        std::array<Complex, kMaxSubDim * kMaxSubDim> entries;
+        gateUnitary(g, entries);
         MixGate mix;
         mix.subDim = size_t{1} << k;
+        const auto m = [&](size_t r, size_t c) {
+            return entries[r * mix.subDim + c];
+        };
         for (size_t i = 0; i < k; ++i) {
             const size_t bit = row_bit(g.qubits[i]);
             mix.mask |= bit;

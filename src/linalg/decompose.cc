@@ -1,23 +1,28 @@
 #include "linalg/decompose.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
 
 namespace quest {
 
-Matrix
-makeU3(double theta, double phi, double lambda)
+std::array<Complex, 4>
+u3Entries(double theta, double phi, double lambda)
 {
     double c = std::cos(theta / 2.0);
     double s = std::sin(theta / 2.0);
     Complex eil = std::polar(1.0, lambda);
     Complex eip = std::polar(1.0, phi);
+    return {Complex(c, 0.0), -eil * s, eip * s, eip * eil * c};
+}
+
+Matrix
+makeU3(double theta, double phi, double lambda)
+{
+    const std::array<Complex, 4> e = u3Entries(theta, phi, lambda);
     Matrix m(2, 2);
-    m(0, 0) = Complex(c, 0.0);
-    m(0, 1) = -eil * s;
-    m(1, 0) = eip * s;
-    m(1, 1) = eip * eil * c;
+    std::copy(e.begin(), e.end(), m.data().begin());
     return m;
 }
 

@@ -9,6 +9,8 @@
 #ifndef QUEST_LINALG_DECOMPOSE_HH
 #define QUEST_LINALG_DECOMPOSE_HH
 
+#include <array>
+
 #include "linalg/matrix.hh"
 
 namespace quest {
@@ -28,6 +30,10 @@ struct ZyzAngles
  *    [e^{i p} sin(t/2),  e^{i(p+l)} cos(t/2)]].
  */
 Matrix makeU3(double theta, double phi, double lambda);
+
+/** makeU3()'s entries, row-major, without a heap Matrix. */
+std::array<Complex, 4> u3Entries(double theta, double phi,
+                                 double lambda);
 
 /**
  * Decompose an arbitrary 2x2 unitary into U3 angles plus a global

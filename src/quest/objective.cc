@@ -26,14 +26,22 @@ SelectionObjective::index(size_t b, double xb) const
     return std::clamp(idx, 0, count - 1);
 }
 
-std::vector<int>
-SelectionObjective::toChoice(const std::vector<double> &x) const
+void
+SelectionObjective::toChoice(const std::vector<double> &x,
+                             std::vector<int> &choice) const
 {
     QUEST_ASSERT(x.size() == result.blockApprox.size(),
                  "coordinate arity mismatch");
-    std::vector<int> choice(x.size());
+    choice.resize(x.size());
     for (size_t b = 0; b < x.size(); ++b)
         choice[b] = index(b, x[b]);
+}
+
+std::vector<int>
+SelectionObjective::toChoice(const std::vector<double> &x) const
+{
+    std::vector<int> choice;
+    toChoice(x, choice);
     return choice;
 }
 
@@ -65,14 +73,14 @@ SelectionObjective::similar(size_t b, int i, int j) const
                : 0;
 }
 
-std::vector<size_t>
-SelectionObjective::similarCounts(const std::vector<int> &choice) const
+void
+SelectionObjective::similarCounts(const std::vector<int> &choice,
+                                  std::vector<size_t> &counts) const
 {
-    std::vector<size_t> counts(selected.size(), 0);
+    counts.assign(selected.size(), 0);
     for (size_t s = 0; s < selected.size(); ++s)
         for (size_t b = 0; b < choice.size(); ++b)
             counts[s] += similar(b, choice[b], selected[s][b]);
-    return counts;
 }
 
 double
@@ -109,19 +117,21 @@ SelectionObjective::scoreChoice(const std::vector<int> &choice) const
         // the feasible region; anything >= 1.0 is never selected.
         return 1.0 + (b - threshold);
     }
-    return feasibleScore(cnots(choice), similarCounts(choice));
+    similarCounts(choice, similarScratch);
+    return feasibleScore(cnots(choice), similarScratch);
 }
 
 double
 SelectionObjective::score(const std::vector<double> &x) const
 {
-    return scoreChoice(toChoice(x));
+    toChoice(x, choiceScratch);
+    return scoreChoice(choiceScratch);
 }
 
 void
 SelectionObjective::setBase(const std::vector<double> &x)
 {
-    baseChoice = toChoice(x);
+    toChoice(x, baseChoice);
     const size_t num_blocks = baseChoice.size();
     baseDistance.resize(num_blocks);
     prefixBound.resize(num_blocks);
@@ -132,8 +142,7 @@ SelectionObjective::setBase(const std::vector<double> &x)
         sum += baseDistance[b];
     }
     baseCnots = cnots(baseChoice);
-    baseSimilar = similarCounts(baseChoice);
-    moveSimilar.resize(baseSimilar.size());
+    similarCounts(baseChoice, baseSimilar);
     baseScore = scoreChoice(baseChoice);
 }
 
@@ -160,12 +169,13 @@ SelectionObjective::scoreMove(size_t b, double xb)
         baseCnots -
         static_cast<size_t>(result.blockApprox[b][from].cnotCount) +
         static_cast<size_t>(moved.cnotCount);
+    similarScratch.resize(selected.size());
     for (size_t s = 0; s < selected.size(); ++s) {
         const int other = selected[s][b];
-        moveSimilar[s] = baseSimilar[s] - similar(b, from, other) +
-                         similar(b, to, other);
+        similarScratch[s] = baseSimilar[s] - similar(b, from, other) +
+                            similar(b, to, other);
     }
-    return feasibleScore(cnots, moveSimilar);
+    return feasibleScore(cnots, similarScratch);
 }
 
 } // namespace quest

@@ -30,6 +30,10 @@ namespace quest {
  * total and its similar-block count per selected sample, so a
  * one-block move is scored from integer deltas and the bound's own
  * additions after the moved block, bit for bit as scoreChoice().
+ *
+ * Scoring allocates nothing once the first call has sized the
+ * scratch vectors below, so score() and scoreChoice() are const but
+ * not safe to call on one objective from several threads at once.
  */
 class SelectionObjective final : public CoordinateObjective
 {
@@ -68,11 +72,17 @@ class SelectionObjective final : public CoordinateObjective
     /** Approximation index of coordinate @p xb of block @p b. */
     int index(size_t b, double xb) const;
 
+    /** toChoice() into @p choice. */
+    void toChoice(const std::vector<double> &x,
+                  std::vector<int> &choice) const;
+
     /** 1 if block @p b's approximations @p i and @p j are similar. */
     size_t similar(size_t b, int i, int j) const;
 
-    /** Similar-block count of @p choice per selected sample. */
-    std::vector<size_t> similarCounts(const std::vector<int> &choice) const;
+    /** Similar-block count of @p choice per selected sample, into
+     *  @p counts. */
+    void similarCounts(const std::vector<int> &choice,
+                       std::vector<size_t> &counts) const;
 
     /** Score of a choice within the threshold, from its CNOT total
      *  and its similar-block count per selected sample. */
@@ -91,7 +101,10 @@ class SelectionObjective final : public CoordinateObjective
     size_t baseCnots = 0;
     std::vector<size_t> baseSimilar;    //!< per selected sample
     double baseScore = 0.0;
-    std::vector<size_t> moveSimilar;    //!< scoreMove() scratch
+
+    // Scratch of score(), scoreChoice() and scoreMove().
+    mutable std::vector<int> choiceScratch;
+    mutable std::vector<size_t> similarScratch;
 };
 
 } // namespace quest

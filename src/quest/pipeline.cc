@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <span>
 
 #include "cache/synthesis_cache.hh"
 #include "ir/lower.hh"
@@ -410,6 +411,7 @@ QuestPipeline::run(const Circuit &circuit) const
                 obs::MetricsRegistry::global().counter(
                     names::kMetricApproxUnitaries);
             std::map<std::pair<size_t, int>, size_t> classes;
+            std::vector<double> row;  // one row's distances
             for (size_t b = 0; b < num_blocks; ++b) {
                 auto &list = result.blockApprox[b];
                 auto &sim = result.blockSimilar[b];
@@ -455,14 +457,21 @@ QuestPipeline::run(const Circuit &circuit) const
 
                 // Pairwise block-approximation similarity (Alg. 1 line
                 // 13): similar iff hs(A_i, A_j) <= max(dist_i, dist_j).
+                // Row i's distances to every later j come from one
+                // batched pass.
                 const size_t count = list.size();
                 sim.assign(count * count, 0);
+                row.resize(count);
                 for (size_t i = 0; i < count; ++i) {
                     sim[i * count + i] = 1;
+                    const std::span<const Matrix> later(
+                        mats.begin() + i + 1, mats.end());
+                    hsDistances(mats[i], later,
+                                std::span(row).first(later.size()));
                     for (size_t j = i + 1; j < count; ++j) {
-                        double dij = hsDistance(mats[i], mats[j]);
-                        char s = dij <= std::max(list[i].distance,
-                                                 list[j].distance)
+                        char s = row[j - i - 1] <=
+                                         std::max(list[i].distance,
+                                                  list[j].distance)
                                      ? 1
                                      : 0;
                         sim[i * count + j] = s;

@@ -6,12 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <thread>
 
 #include "anneal/dual_annealing.hh"
+#include "obs/metrics.hh"
 #include "quest/objective.hh"
 #include "selection_state.hh"
+#include "util/names.hh"
 
 namespace quest {
 namespace {
@@ -162,6 +167,60 @@ TEST(DualAnnealing, CoordinatePathMatchesFunctionPath)
         EXPECT_EQ(direct.evaluations, through.evaluations);
         EXPECT_LT(direct.value, 1.0);  // found a feasible choice
     }
+}
+
+TEST(DualAnnealing, AlternatingOptionsMatchFreshThreads)
+{
+    // A thread keeps the schedule of the options it last ran with.
+    // Runs that alternate two option sets on one thread must equal
+    // runs on fresh threads bit for bit. The second set restarts
+    // every few steps, so its restart entries are read too.
+    Rng rng(7);
+    const QuestResult state = randomSelectionState(rng, 40);
+    const auto selected = randomChoices(rng, state, 2);
+    const size_t blocks = state.blockApprox.size();
+    const std::vector<double> lo(blocks, 0.0), hi(blocks, 1.0);
+    AnnealOptions a;
+    a.maxIterations = 300;
+    a.seed = 3;
+    AnnealOptions b;
+    b.maxIterations = 200;
+    b.initialTemp = 900.0;
+    b.visitParam = 2.3;
+    b.restartTempRatio = 0.05;
+    b.seed = 4;
+    const auto run = [&](const AnnealOptions &options) {
+        SelectionObjective objective(state, selected, 0.5, 0.5);
+        return dualAnnealing(objective, lo, hi, options);
+    };
+    const auto fresh = [&](const AnnealOptions &options) {
+        AnnealResult r;
+        std::thread([&] { r = run(options); }).join();
+        return r;
+    };
+    const auto expectSame = [](const AnnealResult &got,
+                               const AnnealResult &want) {
+        ASSERT_EQ(got.x.size(), want.x.size());
+        for (size_t i = 0; i < got.x.size(); ++i)
+            EXPECT_EQ(std::bit_cast<uint64_t>(got.x[i]),
+                      std::bit_cast<uint64_t>(want.x[i]));
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.value),
+                  std::bit_cast<uint64_t>(want.value));
+        EXPECT_EQ(got.evaluations, want.evaluations);
+    };
+
+    auto &restarts = obs::MetricsRegistry::global().counter(
+        names::kMetricAnnealRestarts);
+    const AnnealResult want_a = fresh(a);
+    const uint64_t restarts0 = restarts.value();
+    const AnnealResult want_b = fresh(b);
+    EXPECT_GT(restarts.value(), restarts0);
+    std::thread([&] {
+        for (int round = 0; round < 3; ++round) {
+            expectSame(run(a), want_a);
+            expectSame(run(b), want_b);
+        }
+    }).join();
 }
 
 TEST(DualAnnealing, BadBoundsPanic)

@@ -15,59 +15,13 @@
 #include <utility>
 #include <vector>
 
+#include "allocation_probe.hh"
 #include "cache/codec.hh"
 #include "ir/circuit.hh"
 #include "ir/gate.hh"
+#include "ir/unitary_kernel.hh"
 #include "linalg/distance.hh"
 #include "util/serialize.hh"
-
-// ---------------------------------------------------------------------
-// Global allocation probe: counts every operator-new in this test
-// binary. Assertions snapshot the counter around a measured region;
-// the replacement itself never allocates.
-namespace {
-std::atomic<uint64_t> g_allocation_count{0};
-}
-
-[[gnu::noinline]] void *
-operator new(std::size_t n)
-{
-    g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void *
-operator new[](std::size_t n)
-{
-    return operator new(n);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-// ---------------------------------------------------------------------
 
 namespace quest {
 namespace {
@@ -327,6 +281,28 @@ TEST(GateStorage, DecodingACandidateAllocatesPerCircuitNotPerGate)
     const uint64_t small = decodeAllocations(10);
     EXPECT_EQ(decodeAllocations(1000), small);
     EXPECT_LE(small, 1u);
+}
+
+/** Allocations made by planning a native circuit of @p n_gates plus
+ *  one RZZ and one CCX (the slab kernel's mixed-gate path). */
+uint64_t
+planAllocations(size_t n_gates)
+{
+    Circuit c = nativeCircuit(n_gates);
+    c.append(Gate::rzz(0, 2, 0.4));
+    c.append(Gate::ccx(3, 1, 0));
+    const uint64_t before = g_allocation_count.load();
+    const UnitaryPlan plan(c);
+    const uint64_t allocations = g_allocation_count.load() - before;
+    EXPECT_EQ(plan.dim(), 16u);
+    return allocations;
+}
+
+TEST(GateStorage, UnitaryPlanAllocatesPerCircuitNotPerGate)
+{
+    // gateUnitary() writes each gate's coefficients to the stack, so
+    // no gate costs the plan a heap matrix.
+    EXPECT_EQ(planAllocations(1000), planAllocations(10));
 }
 
 TEST(GateStorage, WideBarrierSurvivesCopyMoveAndSelfAssignment)

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <span>
+#include <vector>
 
 #include "embed_reference.hh"
 #include "linalg/decompose.hh"
@@ -249,6 +253,32 @@ TEST(HsDistance, FromTraceMatches)
     Complex tr = hsInnerProduct(u, v);
     EXPECT_NEAR(hsDistanceFromTrace(tr, u.rows()), hsDistance(u, v),
                 1e-12);
+}
+
+TEST(HsDistances, RowMatchesHsDistanceBitForBit)
+{
+    // Rows of 0 to 10 matrices cover every split into passes of four,
+    // two and one pairs; the last matrix is the first up to a phase,
+    // so a distance that rounds to zero is among them.
+    Rng rng(27);
+    for (int n = 1; n <= 4; ++n) {
+        std::vector<Matrix> mats;
+        for (int k = 0; k < 10; ++k)
+            mats.push_back(randomUnitary(n, rng));
+        mats.push_back(mats[0] * std::polar(1.0, 0.3));
+        for (size_t len = 0; len < mats.size(); ++len) {
+            const std::span<const Matrix> row(mats.begin() + 1,
+                                              mats.begin() + 1 + len);
+            std::vector<double> got(len);
+            hsDistances(mats[0], row, got);
+            for (size_t k = 0; k < len; ++k)
+                EXPECT_EQ(std::bit_cast<uint64_t>(got[k]),
+                          std::bit_cast<uint64_t>(
+                              hsDistance(mats[0], row[k])))
+                    << "dim " << (1 << n) << ", pair " << k << " of "
+                    << len;
+        }
+    }
 }
 
 TEST(HsInnerProduct, MatchesExplicitTrace)

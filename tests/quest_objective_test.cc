@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "allocation_probe.hh"
 #include "quest/objective.hh"
 #include "selection_state.hh"
 
@@ -211,6 +212,40 @@ TEST(SelectionObjective, ScoreMoveMatchesScoreChoiceBitExact)
             }
         }
     }
+    EXPECT_GT(feasible, 0u);
+    EXPECT_GT(infeasible, 0u);
+}
+
+TEST(SelectionObjective, ScoringAllocatesNothingAfterTheFirstCall)
+{
+    // The annealer scores every step of a run: score(), scoreMove()
+    // and the polish's setBase() reuse the objective's scratch once
+    // the first calls have sized it. The points include the
+    // all-original choice, so both the feasible and the infeasible
+    // paths run.
+    Rng rng(41);
+    const QuestResult state = randomSelectionState(rng, 60);
+    const auto selected = randomChoices(rng, state, 3);
+    const size_t blocks = state.blockApprox.size();
+    std::vector<std::vector<double>> points(8, std::vector<double>(blocks));
+    for (size_t p = 1; p < points.size(); ++p)
+        for (double &v : points[p])
+            v = rng.uniform();
+    SelectionObjective obj(state, selected, 3.0, 0.5);
+    obj.score(points[0]);
+    obj.setBase(points[1]);
+    obj.scoreMove(0, 0.5);
+
+    size_t feasible = 0, infeasible = 0;
+    const uint64_t before = g_allocation_count.load();
+    for (const std::vector<double> &x : points) {
+        ++(obj.score(x) < 1.0 ? feasible : infeasible);
+        obj.setBase(x);
+        for (size_t b = 0; b < blocks; ++b)
+            ++(obj.scoreMove(b, 0.7) < 1.0 ? feasible : infeasible);
+    }
+    const uint64_t allocations = g_allocation_count.load() - before;
+    EXPECT_EQ(allocations, 0u);
     EXPECT_GT(feasible, 0u);
     EXPECT_GT(infeasible, 0u);
 }

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -14,6 +16,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +34,7 @@
 #include "quest/pipeline.hh"
 #include "resilience/error.hh"
 #include "resilience/thread_pool.hh"
+#include "service/job.hh"
 #include "sim/simulator.hh"
 #include "synth/synth_cache.hh"
 #include "util/names.hh"
@@ -757,6 +761,35 @@ TEST(BlockTables, KeptUnitariesAreBuiltOncePerClass)
     const KeptCounts counts = expectExactBlockTables(r);
     EXPECT_EQ(delta, counts.perClass);
     EXPECT_LT(delta, counts.perBlock);
+}
+
+TEST(BlockTables, Qft5DistanceRowsMatchHsDistanceBitForBit)
+{
+    // qft_5 at the shipped settings: every kept list's batched
+    // distance rows equal per-pair hsDistance bit for bit, and the
+    // pipeline's tables match the per-pair recomputation.
+    QuestConfig cfg = service::baseCompileConfig();
+    cfg.seed = 99;
+    const QuestResult r = QuestPipeline(cfg).run(algos::qft(5));
+    expectExactBlockTables(r);
+    size_t pairs = 0;
+    for (const auto &list : r.blockApprox) {
+        std::vector<Matrix> mats;
+        for (const BlockApprox &a : list)
+            mats.push_back(circuitUnitary(a.circuit));
+        for (size_t i = 0; i < mats.size(); ++i) {
+            const std::span<const Matrix> later(mats.begin() + i + 1,
+                                                mats.end());
+            std::vector<double> row(later.size());
+            hsDistances(mats[i], later, row);
+            for (size_t k = 0; k < later.size(); ++k, ++pairs)
+                ASSERT_EQ(std::bit_cast<uint64_t>(row[k]),
+                          std::bit_cast<uint64_t>(
+                              hsDistance(mats[i], later[k])))
+                    << "entries " << i << " and " << i + 1 + k;
+        }
+    }
+    EXPECT_GT(pairs, 100u);
 }
 
 } // namespace

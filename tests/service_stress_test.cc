@@ -200,13 +200,18 @@ TEST(ServiceStress, KillAndResumeReplaysInFlightJobByteIdentically)
     TempDir tmp;
     const fs::path state = tmp.path / "state";
 
-    // The job: multi-block, several seconds of synthesis — long
-    // enough that the SIGKILL below always lands mid-run.
+    // The job: heisenberg_4 in blocks of up to 3 qubits, six of them
+    // distinct. On the tier-1 Release build at 4 threads
+    // (quest_compile --no-cache with these options, --trace), its
+    // first block finished 17-24 ms after the start and the last one
+    // 787-879 ms after that first block, so the SIGKILL below, sent
+    // within a 2 ms poll of the first cache entry, lands with
+    // hundreds of milliseconds of synthesis left.
     CompileOptions options;
-    options.maxLayers = 8;
+    options.maxLayers = 16;
     options.maxSamples = 4;
     options.blockSize = 3;
-    const std::string qasm = toQasm(algos::qft(4));
+    const std::string qasm = toQasm(algos::heisenberg(4, 5));
 
     // Reference result, computed uninterrupted in this process with
     // the exact config the server derives from these options.
@@ -271,6 +276,7 @@ TEST(ServiceStress, KillAndResumeReplaysInFlightJobByteIdentically)
     const uint64_t replayed0 =
         counterValue(names::kMetricServiceJobsReplayed);
     const uint64_t hits0 = counterValue(names::kMetricCacheHit);
+    const uint64_t misses0 = counterValue(names::kMetricSynthCacheMisses);
     ServerConfig config;
     config.stateDir = state.string();
     config.executors = 1;
@@ -283,6 +289,8 @@ TEST(ServiceStress, KillAndResumeReplaysInFlightJobByteIdentically)
     ASSERT_EQ(status.state, JobState::Done) << status.detail;
     EXPECT_GE(counterValue(names::kMetricCacheHit), hits0 + 1)
         << "the resumed run must load the killed run's blocks";
+    EXPECT_GE(counterValue(names::kMetricSynthCacheMisses), misses0 + 1)
+        << "the SIGKILL must land before the last block is synthesized";
 
     QuestClient client = connectLocal(server);
     const ResultReply result = client.result(1);

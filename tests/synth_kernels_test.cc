@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "allocation_probe.hh"
 #include "ansatz_gradient_reference.hh"
 #include "embed_reference.hh"
 #include "ir/circuit.hh"
@@ -35,54 +36,6 @@
 #include "synth/lane/lane_kernels.hh"
 #include "u3_reference.hh"
 #include "util/rng.hh"
-
-// ---------------------------------------------------------------------
-// Global allocation probe: counts every operator-new in this test
-// binary. Assertions snapshot the counter around a measured region;
-// the replacement itself never allocates.
-namespace {
-std::atomic<uint64_t> g_allocation_count{0};
-}
-
-[[gnu::noinline]] void *
-operator new(std::size_t n)
-{
-    g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void *
-operator new[](std::size_t n)
-{
-    return operator new(n);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-// ---------------------------------------------------------------------
 
 namespace quest {
 namespace {

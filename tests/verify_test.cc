@@ -18,86 +18,13 @@
 #include <limits>
 #include <new>
 
+#include "allocation_probe.hh"
 #include "algos/algorithms.hh"
 #include "ir/lower.hh"
 #include "partition/scan_partitioner.hh"
 #include "quest/pipeline.hh"
 #include "synth/leap_synthesizer.hh"
 #include "verify/verifier.hh"
-
-// ---------------------------------------------------------------------
-// Global allocation probe: counts every operator-new in this test
-// binary. Assertions snapshot the counter around a measured region;
-// the replacement itself never allocates. The nothrow forms are
-// replaced too (std::stable_sort's buffer uses them), so that under
-// AddressSanitizer every block is freed by the allocator that made it.
-namespace {
-std::atomic<uint64_t> g_allocation_count{0};
-}
-
-[[gnu::noinline]] void *
-operator new(std::size_t n, const std::nothrow_t &) noexcept
-{
-    g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(n ? n : 1);
-}
-
-[[gnu::noinline]] void *
-operator new(std::size_t n)
-{
-    if (void *p = operator new(n, std::nothrow))
-        return p;
-    throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void *
-operator new[](std::size_t n)
-{
-    return operator new(n);
-}
-
-[[gnu::noinline]] void *
-operator new[](std::size_t n, const std::nothrow_t &) noexcept
-{
-    return operator new(n, std::nothrow);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-// ---------------------------------------------------------------------
 
 namespace quest {
 namespace {
